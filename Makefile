@@ -9,7 +9,7 @@ REPRO_WORKERS ?= 2
 
 export PYTHONPATH := src
 
-.PHONY: test lint bench-smoke bench perf perf-smoke shard-smoke ckpt-smoke traffic-smoke energy-smoke sweep-policies docs-cli linkcheck-docs clean
+.PHONY: test lint bench-smoke bench bench-check perf perf-smoke shard-smoke ckpt-smoke traffic-smoke energy-smoke sweep-policies docs-cli linkcheck-docs clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -27,6 +27,18 @@ bench-smoke:
 
 bench:
 	REPRO_WORKERS=$(REPRO_WORKERS) $(PYTHON) -m pytest -q -p no:cacheprovider benchmarks
+
+# Outside-in benchmark gate (see bench/README.md): the tracer and compare
+# tests, then one short tcg-kmp run whose result line must report every
+# golden digest correct.
+bench-check:
+	$(PYTHON) -m pytest -q -p no:cacheprovider bench/tests
+	mkdir -p results
+	$(PYTHON) -m bench.run --workload tcg-kmp --seed 0 --seconds 5 \
+		--trace 0 > results/bench-check.out \
+		|| { cat results/bench-check.out; exit 1; }
+	cat results/bench-check.out
+	tail -n 1 results/bench-check.out | grep -q '"correct": true'
 
 # Full microbenchmark suite; writes results/perf/BENCH_<timestamp>.json
 # (see docs/performance.md for the record schema and compare gate).

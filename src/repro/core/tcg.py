@@ -134,11 +134,13 @@ class _SlotEngine:
                 # hits) accumulate into one delay — exact under in-pair
                 # semantics, since a slot only switches threads at misses
                 # anyway.  The clock is synced before any request issues.
-                thread = self.thread
+                next_instr = self.thread.next_instr
+                retire = core.retired.inc
+                execute = core._execute
                 pending = 0.0
                 nxt = None
                 while True:
-                    instr = thread.next_instr()
+                    instr = next_instr()
                     if instr is None:
                         if pending:
                             self.phase = "finish"
@@ -146,8 +148,8 @@ class _SlotEngine:
                             return
                         nxt = "finish"
                         break
-                    core.retired.inc()
-                    cost, blocking, posted = core._execute(instr)
+                    retire()
+                    cost, blocking, posted = execute(instr)
                     pending += cost
                     if posted or blocking is not None:
                         if pending:
@@ -422,13 +424,15 @@ class TCGCore(Component):
         return any(lo <= pc <= hi for lo, hi in self._shared_segments)
 
     def _fetch_cost(self, instr: CoreInstr) -> int:
-        if instr.pc is None or self._in_shared_segment(instr.pc):
+        pc = instr.pc
+        if pc is None or (self._shared_segments
+                          and self._in_shared_segment(pc)):
             return 0
-        fetch_addr = instr.pc * 4
-        if self.icache.access(fetch_addr).hit:
-            self._last_fetch_line = fetch_addr // self.config.cache_line_bytes
-            return 0
+        fetch_addr = pc * 4
         line = fetch_addr // self.config.cache_line_bytes
+        if self.icache.access(fetch_addr).hit:
+            self._last_fetch_line = line
+            return 0
         sequential = line == self._last_fetch_line + 1
         self._last_fetch_line = line
         # straight-line code is covered by next-line prefetch; only

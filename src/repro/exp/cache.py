@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import warnings
 from pathlib import Path
 from typing import Any, Dict, Optional
 
@@ -69,6 +70,8 @@ class ResultCache:
         #: runner notes one kind per sweep point so telemetry can tell a
         #: warm-start partial hit from a full-run hit
         self.counters: Dict[str, int] = {kind: 0 for kind in HIT_KINDS}
+        #: entries that existed but could not be read or parsed
+        self.corrupt = 0
 
     def note(self, kind: str) -> None:
         """Count how one sweep point was satisfied (see :data:`HIT_KINDS`)."""
@@ -78,18 +81,37 @@ class ResultCache:
         self.counters[kind] += 1
 
     def hit_counts(self) -> Dict[str, int]:
-        """A copy of the per-kind counters (``hit`` / ``warm`` / ``miss``)."""
-        return dict(self.counters)
+        """A copy of the per-kind counters (``hit`` / ``warm`` / ``miss``),
+        plus ``corrupt`` once any entry was unreadable."""
+        counts = dict(self.counters)
+        if self.corrupt:
+            counts["corrupt"] = self.corrupt
+        return counts
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored outcome dict, or ``None`` on a miss/torn entry."""
+        """The stored outcome dict, or ``None`` on a miss.
+
+        An entry that exists but cannot be read or parsed also reads as
+        ``None``, so the point is simulated again and its entry rewritten;
+        it is counted under ``corrupt`` in :meth:`hit_counts`, and the
+        first one per cache raises a warning.
+        """
         path = self._path(key)
         try:
             return json.loads(path.read_text())
-        except (OSError, ValueError):
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError) as exc:
+            self.corrupt += 1
+            if self.corrupt == 1:
+                warnings.warn(
+                    f"unreadable result cache entry {path} ({exc}); "
+                    f"simulating the point again (further corrupt entries "
+                    f"are counted, not warned about)",
+                    RuntimeWarning, stacklevel=2)
             return None
 
     def put(self, key: str, outcome: Dict[str, Any]) -> Path:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -77,16 +78,23 @@ def write_record(runs_dir: Path, record: RunRecord) -> Path:
 
 
 def load_records(runs_dir: Path) -> List[RunRecord]:
-    """Every readable record under ``runs_dir``, ordered by (spec, index)."""
+    """Every readable record under ``runs_dir``, ordered by (spec, index).
+
+    Unreadable records are skipped with one warning giving their count.
+    """
     runs_dir = Path(runs_dir)
     records: List[RunRecord] = []
     if not runs_dir.is_dir():
         return records
+    skipped = 0
     for path in sorted(runs_dir.glob("*.json")):
         try:
             records.append(RunRecord.from_dict(json.loads(path.read_text())))
         except (ValueError, TypeError):
-            continue
+            skipped += 1
+    if skipped:
+        warnings.warn(f"skipped {skipped} unreadable telemetry record(s) "
+                      f"under {runs_dir}", RuntimeWarning, stacklevel=2)
     records.sort(key=lambda r: (r.spec, r.index))
     return records
 

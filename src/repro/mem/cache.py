@@ -10,7 +10,7 @@ hierarchy.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..errors import ConfigError
 from ..sim.stats import StatsRegistry
@@ -18,19 +18,15 @@ from ..sim.stats import StatsRegistry
 __all__ = ["Cache", "AccessResult"]
 
 
-class AccessResult:
-    """Outcome of one cache access."""
+class AccessResult(NamedTuple):
+    """Outcome of one cache access (immutable, so hits can share one)."""
 
-    __slots__ = ("hit", "victim_addr", "victim_dirty")
+    hit: bool
+    victim_addr: Optional[int] = None
+    victim_dirty: bool = False
 
-    def __init__(self, hit: bool, victim_addr: Optional[int] = None,
-                 victim_dirty: bool = False) -> None:
-        self.hit = hit
-        self.victim_addr = victim_addr
-        self.victim_dirty = victim_dirty
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"AccessResult(hit={self.hit}, victim={self.victim_addr})"
+_HIT = AccessResult(hit=True)
 
 
 class Cache:
@@ -76,14 +72,17 @@ class Cache:
 
     def access(self, addr: int, is_write: bool = False) -> AccessResult:
         """Look up ``addr``; on miss, allocate (evicting LRU if needed)."""
-        set_idx, tag = self._index(addr)
+        line = addr // self.line_bytes
+        num_sets = self.num_sets
+        set_idx = line % num_sets
+        tag = line // num_sets
         line_set = self._sets[set_idx]
         if tag in line_set:
             self.hits.inc()
             line_set.move_to_end(tag)
             if is_write:
                 line_set[tag] = True
-            return AccessResult(hit=True)
+            return _HIT
 
         self.misses.inc()
         victim_addr = None

@@ -9,7 +9,9 @@ cycle.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from bisect import bisect
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Tuple
 
 from ..errors import WorkloadError
@@ -23,9 +25,15 @@ __all__ = ["GranularityDist", "TrafficGenerator", "TrafficResult", "run_uniform_
 
 @dataclass(frozen=True)
 class GranularityDist:
-    """A discrete packet-size distribution (bytes -> probability weight)."""
+    """A discrete packet-size distribution (bytes -> probability weight).
+
+    ``_table`` is derived from ``weights`` at construction; it stays out
+    of ``__eq__``, ``__hash__`` and ``repr``, and :meth:`snapshot_fields`
+    keeps it out of checkpoints.
+    """
 
     weights: Tuple[Tuple[int, float], ...]
+    _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.weights:
@@ -34,11 +42,24 @@ class GranularityDist:
             raise WorkloadError("granularity entries must be positive")
         if sum(w for _, w in self.weights) <= 0:
             raise WorkloadError("granularity weights must sum > 0")
+        sizes = tuple(s for s, _ in self.weights)
+        cum = tuple(accumulate(w for _, w in self.weights))
+        # (sizes, cumulative weights, float total, last index): exactly
+        # the table random.choices builds on every call
+        object.__setattr__(self, "_table",
+                           (sizes, cum, cum[-1] + 0.0, len(sizes) - 1))
 
     def sample(self, rng: random.Random) -> int:
-        sizes = [s for s, _ in self.weights]
-        weights = [w for _, w in self.weights]
-        return rng.choices(sizes, weights=weights, k=1)[0]
+        """One size; the same single ``rng.random()`` draw, and the same
+        result, as ``rng.choices(sizes, weights=weights)[0]``."""
+        sizes, cum, total, hi = self._table
+        return sizes[bisect(cum, rng.random() * total, 0, hi)]
+
+    def snapshot_fields(self) -> dict:
+        return {"weights": self.weights}
+
+    def snapshot_restore(self, fields: dict) -> None:
+        self.__init__(**fields)  # type: ignore[misc]
 
     def mean(self) -> float:
         total = sum(w for _, w in self.weights)

@@ -37,6 +37,10 @@ HEAP_BASE = 0x0001_0000_0000
 THREAD_REGION = 1 << 26          # 64 MB per thread, far beyond any cache
 CODE_BASE = 0x0000_1000_0000
 
+#: builds a ``CoreInstr`` from its full field tuple, skipping the keyword
+#: ``NamedTuple.__new__`` on the per-instruction path
+_new_instr = tuple.__new__
+
 
 @dataclass(frozen=True)
 class WorkloadProfile:
@@ -236,53 +240,56 @@ class InstrStream:
         return self
 
     def __next__(self) -> CoreInstr:
-        if self.emitted >= self.total:
+        # The RNG draws below, and their order, are the stream's contract:
+        # checkpoints and golden digests depend on them draw for draw.
+        emitted = self.emitted
+        if emitted >= self.total:
             raise StopIteration
         if not self.started:
             self._start()
-        self.emitted += 1
+        self.emitted = emitted + 1
         profile = self.profile
         rng = self.rng
-        self.pc = (self.pc + 1) % self.code_pcs
-        pc = self.pc
-        if self.pending_stores:
+        pc = self.pc = (self.pc + 1) % self.code_pcs
+        pending = self.pending_stores
+        if pending:
             # tail of a store burst: contiguous output elements
-            self.pending_stores -= 1
+            self.pending_stores = pending - 1
             size = profile.granularity.sample(rng)
-            return CoreInstr("store", addr=self._shared_addr(size),
-                             size=size, pc=pc)
+            return _new_instr(
+                CoreInstr, ("store", self._shared_addr(size), size, pc, False))
         draw = rng.random()
         p_mem = profile.mem_ratio
-        p_branch = p_mem + profile.branch_ratio
-        p_mul = p_branch + profile.mul_ratio
         if draw < p_mem:
             size = profile.granularity.sample(rng)
             is_write = rng.random() < 0.25
-            kind = "store" if is_write else "load"
             mem_draw = rng.random()
-            if mem_draw < profile.spm_fraction:
+            spm_fraction = profile.spm_fraction
+            if mem_draw < spm_fraction:
                 addr = self.spm_base + rng.randrange(
                     max(1, self.spm_bytes - 256 - size))
-            elif mem_draw < profile.spm_fraction + profile.uncached_fraction:
+            elif mem_draw < spm_fraction + profile.uncached_fraction:
                 if rng.random() < profile.shared_uncached_fraction:
                     addr = self._shared_addr(size)
                     if is_write:
                         self.pending_stores = 1 + rng.randrange(3)
+                elif rng.random() < profile.streaming_locality:
+                    addr = self.stream_ptr = self.stream_ptr + size
                 else:
-                    if rng.random() < profile.streaming_locality:
-                        self.stream_ptr += size
-                    else:
-                        self.stream_ptr += size * rng.randrange(2, 64)
-                    addr = self.stream_ptr
+                    addr = self.stream_ptr = (
+                        self.stream_ptr + size * rng.randrange(2, 64))
             else:
                 addr = self.heap + rng.randrange(profile.working_set_bytes)
-            return CoreInstr(kind, addr=addr, size=size, pc=pc)
+            return _new_instr(CoreInstr, ("store" if is_write else "load",
+                                          addr, size, pc, False))
+        p_branch = p_mem + profile.branch_ratio
         if draw < p_branch:
-            taken = rng.random() < profile.branch_taken_ratio
-            return CoreInstr("branch", pc=pc, taken=taken)
-        if draw < p_mul:
-            return CoreInstr("mul", pc=pc)
-        return CoreInstr("alu", pc=pc)
+            return _new_instr(CoreInstr, (
+                "branch", None, 0, pc,
+                rng.random() < profile.branch_taken_ratio))
+        if draw < p_branch + profile.mul_ratio:
+            return _new_instr(CoreInstr, ("mul", None, 0, pc, False))
+        return _new_instr(CoreInstr, ("alu", None, 0, pc, False))
 
 
 @snapshotable

@@ -59,7 +59,22 @@ class TestResultCache:
         key = "cd" + "1" * 62
         cache.put(key, {"ok": True})
         cache._path(key).write_text("{not json")
-        assert cache.get(key) is None
+        with pytest.warns(RuntimeWarning, match="unreadable result cache"):
+            assert cache.get(key) is None
+
+    def test_corrupt_entries_counted_and_warned_once(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        keys = [f"e{i}" + str(i) * 62 for i in range(2)]
+        for key in keys:
+            cache.put(key, {"ok": True})
+            cache._path(key).write_text("")
+        assert cache.get("ff" + "2" * 62) is None      # plain miss
+        assert "corrupt" not in cache.hit_counts()
+        with pytest.warns(RuntimeWarning) as seen:
+            assert [cache.get(key) for key in keys] == [None, None]
+        assert len(seen) == 1
+        assert cache.hit_counts() == {"hit": 0, "warm": 0, "miss": 0,
+                                      "corrupt": 2}
 
 
 class TestCachedSweeps:

@@ -12,8 +12,9 @@ import time
 import pytest
 
 from repro.config import smarco_scaled
-from repro.exp import (ExperimentSpec, Runner, RunRequest, resolve_shards,
-                       resolve_workers)
+from repro.exp import (ExperimentSpec, Runner, RunRecord, RunRequest,
+                       load_records, resolve_shards, resolve_workers)
+from repro.exp.telemetry import write_record
 
 BASE = RunRequest(kind="smarco", workload="kmp",
                   smarco_config=smarco_scaled(1, 4),
@@ -81,6 +82,19 @@ class TestTelemetry:
         assert len(files) == SPEC.n_points     # overwritten, not duplicated
         assert all(json.loads(f.read_text())["cache"] == "hit"
                    for f in files)
+
+    def test_unreadable_records_are_counted_in_one_warning(self, tmp_path):
+        record = RunRecord(run_id="ab12", spec="s", index=0, label="p",
+                           cache="miss", worker="serial", wall_time_s=0.1,
+                           code_version="v", timestamp="t", request={},
+                           result={}, stats={})
+        write_record(tmp_path, record)
+        (tmp_path / "s-0001-torn.json").write_text('{"run_id": ')
+        (tmp_path / "s-0002-alien.json").write_text('{"unrelated": 1}')
+        with pytest.warns(RuntimeWarning, match="skipped 2 unreadable") as seen:
+            records = load_records(tmp_path)
+        assert len(seen) == 1
+        assert records == [record]
 
 
 class TestWorkerResolution:

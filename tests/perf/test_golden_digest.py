@@ -10,12 +10,20 @@ regenerate only when a deliberate semantic change lands, via::
     from repro.perf.kernels import KERNELS, SIZES
     for k in ('chip_fig17', 'chip_fig23'):
         print(k, KERNELS[k](SIZES['tiny'][k])['digest'])"
+
+``REQUEST_GOLDEN`` pins what the kernels miss: the single-core Fig 17 rig
+under every scheduling policy, a second profile, and the Xeon side of a
+compare run.  Regenerate those with ``result_digest(execute(request))``
+for each of its requests.
 """
 
 import pytest
 
+from repro import RunRequest, smarco_scaled
+from repro.chip.run import execute
 from repro.errors import ConfigError
 from repro.perf import KERNELS, SIZES, run_kernel
+from repro.perf.kernels import result_digest
 
 # size -> kernel -> digest (see module docstring before touching these)
 # shard_sync pins the SAME digests as chip_fig23: the sharded executor
@@ -43,6 +51,36 @@ class TestGoldenDigests:
         assert out["digest"] == GOLDEN[size][kernel], (
             f"{kernel}[{size}] digest changed — a hot-path 'optimization' "
             f"altered simulation behaviour")
+
+
+# name -> (request, digest); see the module docstring before touching these
+REQUEST_GOLDEN = {
+    "tcg-kmp-inpair": (RunRequest(
+        kind="tcg", workload="kmp", core_policy="inpair",
+        threads_per_core=8, instrs_per_thread=3000), "2ff7b5d2208286fd"),
+    "tcg-kmp-blocking": (RunRequest(
+        kind="tcg", workload="kmp", core_policy="blocking",
+        threads_per_core=4, instrs_per_thread=3000), "8970b51b48059e97"),
+    "tcg-kmp-coarse": (RunRequest(
+        kind="tcg", workload="kmp", core_policy="coarse",
+        threads_per_core=8, instrs_per_thread=3000), "07c8cfbf49b53678"),
+    "tcg-terasort-inpair": (RunRequest(
+        kind="tcg", workload="terasort", seed=1, core_policy="inpair",
+        threads_per_core=8, instrs_per_thread=3000), "c7e0d8eaf5e612fd"),
+    "compare-kmp": (RunRequest(
+        kind="compare", workload="kmp", smarco_config=smarco_scaled(2, 4),
+        threads_per_core=4, instrs_per_thread=100, xeon_threads=8,
+        xeon_instrs_per_thread=2000), "d8569393c8183453"),
+}
+
+
+class TestRequestDigests:
+    @pytest.mark.parametrize("name", sorted(REQUEST_GOLDEN))
+    def test_fixed_seed_runs_are_bit_identical(self, name):
+        request, golden = REQUEST_GOLDEN[name]
+        assert result_digest(execute(request)) == golden, (
+            f"{name} digest changed — a hot-path 'optimization' altered "
+            f"simulation behaviour")
 
 
 class TestKernelDiscipline:
