@@ -29,16 +29,21 @@ bench:
 	REPRO_WORKERS=$(REPRO_WORKERS) $(PYTHON) -m pytest -q -p no:cacheprovider benchmarks
 
 # Outside-in benchmark gate (see bench/README.md): the tracer and compare
-# tests, then one short tcg-kmp run whose result line must report every
+# tests, then one short run each of tcg-kmp (the core pipeline) and
+# chip64-ocean (the NoC hub path) whose result lines must report every
 # golden digest correct.
+BENCH_CHECK_WORKLOADS = tcg-kmp chip64-ocean
 bench-check:
 	$(PYTHON) -m pytest -q -p no:cacheprovider bench/tests
 	mkdir -p results
-	$(PYTHON) -m bench.run --workload tcg-kmp --seed 0 --seconds 5 \
-		--trace 0 > results/bench-check.out \
-		|| { cat results/bench-check.out; exit 1; }
-	cat results/bench-check.out
-	tail -n 1 results/bench-check.out | grep -q '"correct": true'
+	for w in $(BENCH_CHECK_WORKLOADS); do \
+		$(PYTHON) -m bench.run --workload $$w --seed 0 --seconds 5 \
+			--trace 0 > results/bench-check-$$w.out \
+			|| { cat results/bench-check-$$w.out; exit 1; }; \
+		cat results/bench-check-$$w.out; \
+		tail -n 1 results/bench-check-$$w.out \
+			| grep -q '"correct": true' || exit 1; \
+	done
 
 # Full microbenchmark suite; writes results/perf/BENCH_<timestamp>.json
 # (see docs/performance.md for the record schema and compare gate).

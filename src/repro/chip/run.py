@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from ..config import AuditConfig, SmarCoConfig, XeonConfig, smarco_default
 from ..core.ports import FixedLatencyPort
@@ -41,6 +41,7 @@ __all__ = [
     "ComparisonResult",
     "RunOutcome",
     "execute",
+    "run_tcg_rig",
     "run_smarco",
     "run_xeon",
     "compare",
@@ -227,13 +228,22 @@ def _make_auditor(audit: Optional[AuditConfig]):
 def _execute_tcg(request: RunRequest,
                  audit: Optional[AuditConfig] = None) -> RunOutcome:
     """One TCG core behind a fixed-latency memory port (the Fig 17 rig)."""
+    return run_tcg_rig(request, _make_auditor(audit))[0]
+
+
+def run_tcg_rig(request: RunRequest,
+                auditor=None) -> Tuple[RunOutcome, Simulator]:
+    """Build and run the Fig 17 rig; returns the outcome and its engine.
+
+    The tcg kind has no :class:`~repro.chip.session.RunSession`; this is
+    its way to read engine counters such as ``events_executed``.
+    """
     profile = get_profile(request.workload)
     sim = Simulator()
     registry = StatsRegistry()
     port = FixedLatencyPort(sim, request.mem_latency)
     core = TCGCore(sim, 0, port, policy=request.core_policy,
                    registry=registry)
-    auditor = _make_auditor(audit)
     if auditor is not None:
         auditor.install(core)
     rng_tree = RngTree(request.seed)
@@ -256,9 +266,11 @@ def _execute_tcg(request: RunRequest,
         cycles=core.elapsed,
         instructions=core.instructions,
     )
-    return RunOutcome(request=request, result=result, stats=registry.dump(),
-                      components=core.tree_dict(),
-                      audit=auditor.summary() if auditor is not None else None)
+    outcome = RunOutcome(
+        request=request, result=result, stats=registry.dump(),
+        components=core.tree_dict(),
+        audit=auditor.summary() if auditor is not None else None)
+    return outcome, sim
 
 
 def _resolve_request_shards(request: RunRequest, auditor) -> int:
@@ -302,7 +314,8 @@ def _execute_smarco(request: RunRequest,
     result = chip.run(max_cycles=request.run_cycles,
                       quantum=request.shard_quantum if shards else None)
     if auditor is not None:
-        auditor.end_of_run(chip.sim.now)
+        # a run cut at its run_cycles horizon still has events queued
+        auditor.end_of_run(chip.sim.now, drained=not chip.sim.pending())
     return RunOutcome(request=request, result=result,
                       stats=chip.registry.dump(),
                       components=chip.tree_dict(),
@@ -324,7 +337,8 @@ def _execute_xeon(request: RunRequest,
     system.sim.run(until=request.run_cycles)
     result = system.collect_result()
     if auditor is not None:
-        auditor.end_of_run(system.sim.now)
+        auditor.end_of_run(system.sim.now,
+                           drained=not system.sim.pending())
     return RunOutcome(request=request, result=result,
                       stats=system.registry.dump(),
                       components=system.tree_dict(),

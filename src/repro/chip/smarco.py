@@ -142,8 +142,8 @@ class _BatchFlight:
         batch = self.batch
         covered = max(1, batch.wanted_bytes)
         mc = chip.memory.controller_for(batch.base_addr)
-        mc_node = NodeId("mc", index=mc.controller_id)
-        bridge = NodeId("bridge", ring=self.ring)
+        mc_node = chip._mc_nodes[mc.controller_id]
+        bridge = chip._bridge_nodes[self.ring]
         if self.phase == "command":
             # command (reads) or command+data (writes) to the controller
             out_size = _BATCH_HEADER_BYTES + (covered if batch.is_write else 0)
@@ -206,7 +206,7 @@ class _DirectReadFlight:
         request = self.request
         if self.phase == "command":
             out = Packet(src=chip.core_node(self.core_id),
-                         dst=NodeId("mc", index=0), size_bytes=8,
+                         dst=chip._mc_nodes[0], size_bytes=8,
                          kind=PacketKind.MEM_READ, realtime=True,
                          traces=chip._pkt_traces(request))
             self.phase = "dram"
@@ -222,7 +222,7 @@ class _DirectReadFlight:
             return
         if self.phase == "reply":
             mc = chip.memory.controller_for(request.addr)
-            back = Packet(src=NodeId("mc", index=mc.controller_id),
+            back = Packet(src=chip._mc_nodes[mc.controller_id],
                           dst=chip.core_node(self.core_id),
                           size_bytes=max(1, request.size),
                           kind=PacketKind.MEM_REPLY, realtime=True,
@@ -405,6 +405,15 @@ class SmarCoChip(Component):
             for cid in range(cfg.total_cores)
         }
         self.spm_map = SpmAddressMap(self.spms)
+        # NodeIds are immutable: one per core, bridge and controller serves
+        # every packet addressed to it
+        self._core_nodes = [
+            NodeId("core", *divmod(cid, cfg.cores_per_sub_ring))
+            for cid in range(cfg.total_cores)]
+        self._bridge_nodes = [NodeId("bridge", ring=s)
+                              for s in range(cfg.sub_rings)]
+        self._mc_nodes = [NodeId("mc", index=i)
+                          for i in range(cfg.memory.channels)]
 
         self.req_latency = self.stats.accumulator("req_latency")
         # hop-stamped transaction sampling (tentpole): which core requests
@@ -470,8 +479,7 @@ class SmarCoChip(Component):
         return core_id // self.config.cores_per_sub_ring
 
     def core_node(self, core_id: int) -> NodeId:
-        ring, idx = divmod(core_id, self.config.cores_per_sub_ring)
-        return NodeId("core", ring=ring, index=idx)
+        return self._core_nodes[core_id]
 
     # -- the memory path ------------------------------------------------------------
 
@@ -525,7 +533,7 @@ class SmarCoChip(Component):
             return
         # normal path: ride the sub-ring to the MACT at the bridge
         packet = Packet(
-            src=self.core_node(core_id), dst=NodeId("bridge", ring=ring),
+            src=self.core_node(core_id), dst=self._bridge_nodes[ring],
             size_bytes=max(1, request.size),
             kind=PacketKind.MEM_WRITE if request.is_write else PacketKind.MEM_READ,
             on_delivered=functools.partial(self._forward_to_mact, ring, request),

@@ -163,6 +163,8 @@ class RingConfig:
             raise ConfigError("main ring fixed datapaths exceed total")
         if self.sub_ring_fixed_per_dir * 2 > self.sub_ring_datapaths:
             raise ConfigError("sub ring fixed datapaths exceed total")
+        if self.router_latency < 1:
+            raise ConfigError("router_latency must be >= 1 cycle")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ the controller stop.  Every leg models link contention through
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..config import RingConfig
 from ..errors import NocError
@@ -32,10 +32,14 @@ class _NocFlight:
 
     Phases mirror the old ``_route`` generator's yield points: each
     sub-ring / main-ring leg is a :class:`Completion` the flight waits
-    on, with the bridge transfer delays between them.
+    on, with the bridge transfer delays between them.  The endpoints'
+    sub-rings are worked out once, on the first step; a bridge's stops
+    are list lookups by ring (the bridge is the last stop of its
+    sub-ring).
     """
 
-    __slots__ = ("noc", "packet", "completion", "phase")
+    __slots__ = ("noc", "packet", "completion", "phase", "src_ring",
+                 "dst_ring")
 
     def __init__(self, noc: "HierarchicalRingNoC", packet: Packet,
                  completion: Completion) -> None:
@@ -43,12 +47,8 @@ class _NocFlight:
         self.packet = packet
         self.completion = completion
         self.phase = "start"
-
-    def _src_ring(self) -> Optional[int]:
-        return self.noc._ring_of(self.packet.src)
-
-    def _dst_ring(self) -> Optional[int]:
-        return self.noc._ring_of(self.packet.dst)
+        self.src_ring: Optional[int] = None
+        self.dst_ring: Optional[int] = None
 
     def _step(self, _payload=None) -> None:
         noc = self.noc
@@ -59,10 +59,9 @@ class _NocFlight:
         packet = self.packet
         while True:
             if self.phase == "start":
-                src_ring = self._src_ring()
-                dst_ring = self._dst_ring()
-                if (src_ring is not None and dst_ring is not None
-                        and src_ring == dst_ring):
+                src_ring = self.src_ring = noc._ring_of(packet.src)
+                dst_ring = self.dst_ring = noc._ring_of(packet.dst)
+                if src_ring is not None and src_ring == dst_ring:
                     # Same sub-ring: one leg.
                     leg = noc.sub_ring_nets[src_ring].send(
                         packet, noc.sub_stop(packet.src),
@@ -74,15 +73,14 @@ class _NocFlight:
                     # Leg 1: source sub-ring to its bridge.
                     leg = noc.sub_ring_nets[src_ring].send(
                         packet, noc.sub_stop(packet.src),
-                        noc.sub_stop(NodeId("bridge", ring=src_ring)),
-                        final=False)
+                        noc.cores_per_sub_ring, final=False)
                     self.phase = "bridge_in"
                     leg.wait(self._step)
                     return
                 self.phase = "main"
                 continue
             if self.phase == "bridge_in":
-                src_ring = self._src_ring()
+                src_ring = self.src_ring
                 if packet.traces:
                     packet.advance_traces(
                         "bridge", f"{noc.path}.bridge{src_ring}", sim.now)
@@ -91,14 +89,14 @@ class _NocFlight:
                 return
             if self.phase == "main":
                 # Leg 2: main ring.
-                src_ring = self._src_ring()
-                dst_ring = self._dst_ring()
+                src_ring = self.src_ring
+                dst_ring = self.dst_ring
                 if src_ring is not None:
-                    main_src = noc.main_stop(NodeId("bridge", ring=src_ring))
+                    main_src = noc._bridge_main_stops[src_ring]
                 else:
                     main_src = noc.main_stop(packet.src)
                 if dst_ring is not None:
-                    main_dst = noc.main_stop(NodeId("bridge", ring=dst_ring))
+                    main_dst = noc._bridge_main_stops[dst_ring]
                 else:
                     main_dst = noc.main_stop(packet.dst)
                 self.phase = "bridge_out"
@@ -110,7 +108,7 @@ class _NocFlight:
                 continue
             if self.phase == "bridge_out":
                 # Leg 3: destination sub-ring (if destination is a core).
-                dst_ring = self._dst_ring()
+                dst_ring = self.dst_ring
                 if dst_ring is None:
                     self.phase = "deliver"
                     continue
@@ -121,9 +119,8 @@ class _NocFlight:
                 noc._cross_to_sub(dst_ring, self._step)
                 return
             if self.phase == "leg_out":
-                dst_ring = self._dst_ring()
-                leg = noc.sub_ring_nets[dst_ring].send(
-                    packet, noc.sub_stop(NodeId("bridge", ring=dst_ring)),
+                leg = noc.sub_ring_nets[self.dst_ring].send(
+                    packet, noc.cores_per_sub_ring,
                     noc.sub_stop(packet.dst), final=False)
                 self.phase = "deliver"
                 leg.wait(self._step)
@@ -176,7 +173,9 @@ class HierarchicalRingNoC(Component):
         # -- main-ring stop layout: bridges with MCs interleaved at equal
         #    spacing, then scheduler + IO stops.
         self.main_stops: List[NodeId] = []
-        self._main_stop_of: Dict[NodeId, int] = {}
+        #: stop index by ``(kind, ring, index)``: a tuple hashes in C, a
+        #: frozen-dataclass NodeId through two Python-level calls
+        self._main_stop_of: Dict[Tuple[str, int, int], int] = {}
         spacing = max(1, sub_rings // max(1, mem_channels))
         mc_placed = 0
         for s in range(sub_rings):
@@ -189,6 +188,9 @@ class HierarchicalRingNoC(Component):
             mc_placed += 1
         self._add_main_stop(NodeId("sched"))
         self._add_main_stop(NodeId("io"))
+        #: main-ring stop of each sub-ring's bridge, by ring
+        self._bridge_main_stops: List[int] = [
+            self.main_stop(NodeId("bridge", ring=s)) for s in range(sub_rings)]
 
         self.main_ring = Ring.from_config(
             sim, "main", len(self.main_stops), self.config,
@@ -219,7 +221,8 @@ class HierarchicalRingNoC(Component):
                     auditor.register_link(seg.bidi)
 
     def _add_main_stop(self, node: NodeId) -> None:
-        self._main_stop_of[node] = len(self.main_stops)
+        self._main_stop_of[node.kind, node.ring, node.index] = len(
+            self.main_stops)
         self.main_stops.append(node)
 
     # -- stop lookup -------------------------------------------------------------
@@ -227,7 +230,7 @@ class HierarchicalRingNoC(Component):
     def main_stop(self, node: NodeId) -> int:
         """Main-ring stop index of a bridge / mc / sched / io node."""
         try:
-            return self._main_stop_of[node]
+            return self._main_stop_of[node.kind, node.ring, node.index]
         except KeyError:
             raise NocError(f"{node} is not on the main ring") from None
 

@@ -97,7 +97,31 @@ class SlicedLink:
             fit = self._fit_cache[size_bytes] = (slices_needed, k, cycles)
         slices_needed, k, cycles = fit
         if self.policy == "greedy":
-            start, finish = self._transmit_greedy(k, cycles, now)
+            # the paper's allocator, inlined: every default ring segment
+            # reserves through here
+            free = self._slice_free
+            if k == self.n_slices:
+                # whole-width packet: every slice is chosen, no ordering
+                chosen: Sequence[int] = range(k)
+                start = max(free)
+                if now > start:
+                    start = now
+                finish = start + cycles
+                free[:] = [finish] * k
+            else:
+                # earliest-free k slices (the self-governed channels the
+                # packet "really needs"; the rest stay free for others)
+                chosen = sorted(range(self.n_slices),
+                                key=free.__getitem__)[:k]
+                start = free[chosen[-1]]     # latest-free of the chosen
+                if now > start:
+                    start = now
+                finish = start + cycles
+                for i in chosen:
+                    free[i] = finish
+            self.wait_cycles.add(start - now)
+            if self.reservation_log is not None:
+                self._record(chosen, start, finish)
         elif self.policy == "monolithic":
             start, finish = self._transmit_monolithic(cycles, now)
         else:
@@ -119,28 +143,6 @@ class SlicedLink:
         finish = start + cycles
         self._slice_free = [finish] * self.n_slices
         self._record(range(self.n_slices), start, finish)
-        return start, finish
-
-    def _transmit_greedy(self, k: int, cycles: int,
-                         now: float) -> Tuple[float, float]:
-        free = self._slice_free
-        if k == self.n_slices:
-            # whole-width packet: every slice is chosen, no ordering needed
-            chosen: Sequence[int] = range(k)
-            start = max(free)
-        else:
-            # earliest-free k slices (the self-governed channels the packet
-            # "really needs"; the rest remain free for other packets)
-            order = sorted(range(self.n_slices), key=free.__getitem__)
-            chosen = order[:k]
-            start = free[chosen[-1]]     # latest-free of the chosen
-        if now > start:
-            start = now
-        self.wait_cycles.add(start - now)
-        finish = start + cycles
-        for i in chosen:
-            free[i] = finish
-        self._record(chosen, start, finish)
         return start, finish
 
     def _transmit_firstfit(self, k: int, cycles: int,
@@ -243,11 +245,12 @@ class RingSegment:
         fixed datapath (that would serialise both directions through the
         shared pool under light load).
         """
-        fixed = self.link(direction)
-        link = fixed
-        if (self.bidi is not None and fixed.next_free() > now
-                and self.bidi.next_free() < fixed.next_free()):
-            link = self.bidi
+        link = self.link(direction)
+        bidi = self.bidi
+        if bidi is not None:
+            fixed_free = min(link._slice_free)
+            if fixed_free > now and min(bidi._slice_free) < fixed_free:
+                link = bidi
         return link.reserve(size_bytes, now)
 
     def next_free(self, direction: str) -> float:

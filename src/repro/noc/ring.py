@@ -10,7 +10,7 @@ send packets based on the congestion condition".
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple
+from typing import List, Optional
 
 from ..config import RingConfig
 from ..errors import NocError
@@ -25,13 +25,23 @@ __all__ = ["Ring"]
 
 @snapshotable
 class _RingFlight:
-    """Explicit-state form of the per-packet traversal process.
+    """Explicit-state form of the per-packet traversal.
 
-    Each ``_step`` is one resume of the old ``_traverse`` generator:
-    the direction is chosen on the first step (not at injection — other
-    same-cycle events may change congestion first), then the flight
-    alternates router delay and link reservation per hop, issuing the
-    same ``schedule`` calls in the same order.
+    A leg of ``h`` hops is ``h + 2`` events.  The first step (a zero-delay
+    event at injection) chooses the direction — not at injection itself,
+    since other same-cycle events may change congestion first — and
+    enters the source router.  Each ``"xfer"`` step reserves one segment;
+    when the packet has not arrived it passes the next router without an
+    event of its own: the step stamps the ``"router"`` stage at the
+    arrival time and schedules the next xfer at ``arrival +
+    router_latency`` directly.  The last xfer schedules the arrival step.
+
+    Link reservations happen in the order a separate router event per
+    hop would give: two xfers of one cycle are ordered by the xfers that
+    scheduled them, as their router events would be, and first-hop xfers
+    come from due-lane steps, which run after every heap event of their
+    cycle (hence ``router_latency >= 1``).  See docs/performance.md,
+    "Hub path: one event per hop".
     """
 
     __slots__ = ("ring", "packet", "stop", "dst", "final", "completion",
@@ -53,40 +63,52 @@ class _RingFlight:
         ring = self.ring
         sim = ring.sim
         packet = self.packet
-        if self.direction is None:
-            self.direction = ring.choose_direction(self.stop, self.dst)
-        while True:
-            if self.phase == "route":
-                if self.stop == self.dst:
-                    packet.hops += self.hops
-                    ring.hop_count.add(self.hops)
-                    if self.final:
-                        ring.delivered.inc()
-                        ring.latency.add(sim.now - packet.created_at)
-                        packet.deliver(sim.now)
-                    self.completion.finish(sim.now)
-                    return
-                if packet.traces:
-                    packet.advance_traces("router", ring.qualname, sim.now)
-                self.phase = "xfer"
-                sim.schedule(ring.router_latency, self._step, None)
-                return
-            if self.phase == "xfer":
-                segment, nxt = ring._next_segment(self.stop, self.direction)
-                start, finish = segment.transmit_detail(
-                    self.direction, packet.size_bytes, sim.now)
-                if packet.traces:
-                    if start > sim.now:
-                        packet.advance_traces("link_wait", ring.qualname,
-                                              sim.now)
-                    packet.advance_traces("link_xfer", ring.qualname, start)
-                self.stop = nxt
-                self.hops += 1
+        now = sim.now
+        if self.phase == "xfer":
+            direction = self.direction
+            stop = self.stop
+            if direction == "cw":
+                segment = ring.segments[stop]
+                nxt = (stop + 1) % ring.num_stops
+            else:
+                nxt = (stop - 1) % ring.num_stops
+                segment = ring.segments[nxt]
+            start, finish = segment.transmit_detail(
+                direction, packet.size_bytes, now)
+            traces = packet.traces
+            if traces:
+                if start > now:
+                    packet.advance_traces("link_wait", ring.qualname, now)
+                packet.advance_traces("link_xfer", ring.qualname, start)
+            self.stop = nxt
+            self.hops += 1
+            delay = max(0.0, finish - now) + ring.hop_latency
+            if nxt == self.dst:
                 self.phase = "route"
-                sim.schedule(max(0.0, finish - sim.now) + ring.hop_latency,
-                             self._step, None)
+                sim.schedule(delay, self._step, None)
                 return
+            # the same float sum the heap makes for a separate router event
+            arrival = now + delay
+            if traces:
+                packet.advance_traces("router", ring.qualname, arrival)
+            sim.schedule_at(arrival + ring.router_latency, self._step, None)
+            return
+        if self.phase != "route":
             raise NocError(f"ring flight in unknown phase {self.phase!r}")
+        if self.stop == self.dst:
+            packet.hops += self.hops
+            ring.hop_count.add(self.hops)
+            if self.final:
+                ring.delivered.inc()
+                ring.latency.add(now - packet.created_at)
+                packet.deliver(now)
+            self.completion.finish(now)
+            return
+        self.direction = ring.choose_direction(self.stop, self.dst)
+        if packet.traces:
+            packet.advance_traces("router", ring.qualname, now)
+        self.phase = "xfer"
+        sim.schedule(ring.router_latency, self._step, None)
 
 
 class Ring:
@@ -112,6 +134,10 @@ class Ring:
     ) -> None:
         if num_stops < 2:
             raise NocError(f"ring needs >=2 stops, got {num_stops}")
+        # a router stage takes at least a cycle: a flight's merged hop
+        # relies on it to keep its xfer ahead of same-cycle injections
+        if router_latency < 1:
+            raise NocError(f"router latency must be >= 1, got {router_latency}")
         self.sim = sim
         self.name = name
         self.num_stops = num_stops
@@ -168,8 +194,8 @@ class Ring:
 
     def choose_direction(self, src: int, dst: int) -> str:
         """Shortest path; near-ties broken by first-segment congestion."""
-        d_cw = self.distance(src, dst, "cw")
-        d_ccw = self.distance(src, dst, "ccw")
+        d_cw = (dst - src) % self.num_stops          # self.distance, inlined
+        d_ccw = (src - dst) % self.num_stops
         if d_cw < d_ccw:
             return "cw"
         if d_ccw < d_cw:
@@ -178,11 +204,6 @@ class Ring:
         seg_cw = self.segments[src]
         seg_ccw = self.segments[(src - 1) % self.num_stops]
         return "cw" if seg_cw.next_free("cw") <= seg_ccw.next_free("ccw") else "ccw"
-
-    def _next_segment(self, stop: int, direction: str) -> Tuple[RingSegment, int]:
-        if direction == "cw":
-            return self.segments[stop], (stop + 1) % self.num_stops
-        return self.segments[(stop - 1) % self.num_stops], (stop - 1) % self.num_stops
 
     # -- transmission -------------------------------------------------------------
 

@@ -18,9 +18,11 @@ Each kernel isolates one simulator hot path:
 * ``sched_assign``     — the scheduler dispatch hot loop (submit /
   assign / release-context) across every registered policy;
 * ``chip_fig17``       — the Fig 17 single-TCG rig through
-  :func:`repro.chip.run.execute` (also yields the golden result digest);
-* ``chip_fig23``       — a scaled-down Fig 23 full-chip run (golden
-  digest of the whole chip: cores, MACT, NoC, DRAM);
+  :func:`repro.chip.run.run_tcg_rig` (also yields the golden result
+  digest and the engine's event count);
+* ``chip_fig23``       — a scaled-down Fig 23 full-chip run through
+  :class:`repro.chip.session.RunSession` (golden digest of the whole
+  chip: cores, MACT, NoC, DRAM; engine event count);
 * ``ckpt_roundtrip``   — capture -> serialise -> restore of a paused
   chip session through the versioned checkpoint container (the warm-
   start materialization hot path; digest proves the restored session
@@ -365,19 +367,20 @@ def _k_sched_assign(params: Dict[str, int]) -> Dict[str, Any]:
 
 def _k_chip_fig17(params: Dict[str, int]) -> Dict[str, Any]:
     """The Fig 17 rig: one TCG core, fixed-latency memory, fixed seed."""
-    from ..chip.run import execute
+    from ..chip.run import run_tcg_rig
     from ..exp import RunRequest
 
     request = RunRequest(kind="tcg", workload="kmp", seed=0,
                          instrs_per_thread=params["instrs"])
-    outcome = execute(request)
-    return {"events": 0, "units": outcome.result.instructions,
+    outcome, sim = run_tcg_rig(request)
+    return {"events": sim.events_executed,
+            "units": outcome.result.instructions,
             "unit": "instrs", "digest": result_digest(outcome)}
 
 
 def _k_chip_fig23(params: Dict[str, int]) -> Dict[str, Any]:
     """A scaled-down Fig 23 full-chip run (2 sub-rings x 4 cores)."""
-    from ..chip.run import execute
+    from ..chip.session import RunSession
     from ..config import smarco_scaled
     from ..exp import RunRequest
 
@@ -385,8 +388,10 @@ def _k_chip_fig23(params: Dict[str, int]) -> Dict[str, Any]:
                          smarco_config=smarco_scaled(2, 4),
                          threads_per_core=4,
                          instrs_per_thread=params["instrs"])
-    outcome = execute(request)
-    return {"events": 0, "units": outcome.result.instructions,
+    session = RunSession(request)
+    outcome = session.finish()
+    return {"events": session.sim.events_executed,
+            "units": outcome.result.instructions,
             "unit": "instrs", "digest": result_digest(outcome)}
 
 

@@ -103,22 +103,33 @@ class Completion:
     ``finished`` / ``result`` / ``done_signal`` have identical semantics,
     and a generator process may ``yield`` a Completion directly.  Unlike
     a Process it holds no generator frame, so it snapshots cleanly.
+
+    Waiters queue on the completion itself; the done signal is only built
+    when someone asks for it (most completions are one NoC leg with one
+    waiter).  Either way every waiter wakes in registration order.
     """
 
-    __slots__ = ("sim", "name", "finished", "result", "_done_signal")
+    __slots__ = ("sim", "name", "finished", "result", "_waiters",
+                 "_done_signal")
 
     def __init__(self, sim: "Simulator", name: str = "completion") -> None:
         self.sim = sim
         self.name = name
         self.finished = False
         self.result: Any = None
+        self._waiters: List[Callable[[Any], None]] = []
         self._done_signal: Optional[EventSignal] = None
 
     @property
     def done_signal(self) -> EventSignal:
-        """Signal fired (with the result) when this completion finishes."""
+        """Signal fired (with the result) when this completion finishes.
+
+        Waiters registered through :meth:`wait` before the signal existed
+        move onto it, ahead of any later ones.
+        """
         if self._done_signal is None:
-            self._done_signal = EventSignal(self.sim, f"{self.name}.done")
+            sig = self._done_signal = EventSignal(self.sim, f"{self.name}.done")
+            sig._waiters, self._waiters = self._waiters, []
         return self._done_signal
 
     def finish(self, result: Any = None) -> None:
@@ -129,17 +140,26 @@ class Completion:
         self.result = result
         if self._done_signal is not None:
             self._done_signal.fire(result)
+            return
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            sim = _ACTIVE if _ACTIVE is not None else self.sim
+            for cb in waiters:
+                sim.schedule(0, cb, result)
 
     def wait(self, callback: Callable[[Any], None]) -> None:
         """Run ``callback(result)`` when finished, mirroring the engine's
         process-wait protocol: already-finished completions schedule a
-        zero-delay wakeup (one sequence number), pending ones register on
-        the done signal (no sequence number until the fire)."""
+        zero-delay wakeup (one sequence number), pending ones queue (no
+        sequence number until the finish)."""
         if self.finished:
             sim = _ACTIVE if _ACTIVE is not None else self.sim
             sim.schedule(0, callback, self.result)
+        elif self._done_signal is not None:
+            self._done_signal.wait(callback)
         else:
-            self.done_signal.wait(callback)
+            self._waiters.append(callback)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self.finished else "pending"

@@ -76,6 +76,42 @@ class TestAuditedRunsAreClean:
         assert outcome.audit["xeon"]["clean"]
 
 
+class TestHorizonRuns:
+    """A ``run_cycles`` horizon leaves work in flight; a drained run may not."""
+
+    @staticmethod
+    def _lose_one_request(monkeypatch):
+        # a request the chip issues and never completes
+        from repro.mem.request import MemRequest
+        from repro.sim import Auditor
+
+        real = Auditor.end_of_run
+
+        def end_of_run(self, now, drained=True):
+            self.request_issued(MemRequest(addr=0x40, size=4, is_write=False),
+                                now)
+            real(self, now, drained)
+
+        monkeypatch.setattr(Auditor, "end_of_run", end_of_run)
+
+    def test_bounded_run_is_clean(self):
+        outcome = execute(smarco_request(run_cycles=2000.0), audit=AUDIT_ON)
+        assert outcome.result.cycles <= 2000.0
+        assert outcome.audit["clean"]
+
+    def test_drained_run_with_orphaned_request_fails(self, monkeypatch):
+        self._lose_one_request(monkeypatch)
+        with pytest.raises(AuditError, match="still outstanding"):
+            execute(smarco_request(instrs_per_thread=60), audit=AUDIT_ON)
+
+    def test_horizon_is_not_a_drain(self, monkeypatch):
+        # a horizon past the end of the run: it drains, so it is checked
+        self._lose_one_request(monkeypatch)
+        with pytest.raises(AuditError, match="still outstanding"):
+            execute(smarco_request(instrs_per_thread=60, run_cycles=1e9),
+                    audit=AUDIT_ON)
+
+
 class TestBitIdentity:
     def test_audits_off_matches_audits_on(self):
         request = smarco_request()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import RingConfig
-from repro.errors import NocError
+from repro.errors import ConfigError, NocError
 from repro.noc import Packet, Ring
 from repro.noc.packet import NodeId
 from repro.sim import Simulator
@@ -78,6 +78,12 @@ class TestTraversal:
         sim, ring = make_ring(4)
         with pytest.raises(NocError):
             ring.send(pkt(), 0, 9)
+
+    def test_zero_cycle_router_is_rejected(self):
+        with pytest.raises(NocError, match="router latency"):
+            make_ring(4, router_latency=0)
+        with pytest.raises(ConfigError, match="router_latency"):
+            RingConfig(router_latency=0).validate()
 
     def test_non_final_leg_does_not_deliver(self):
         sim, ring = make_ring(4)

@@ -103,6 +103,11 @@ class TestKernelDiscipline:
         with pytest.raises(ConfigError, match="repeat"):
             run_kernel("engine_churn", size="tiny", repeat=0)
 
+    @pytest.mark.parametrize("kernel", ["chip_fig17", "chip_fig23"])
+    def test_chip_kernels_count_engine_events(self, kernel):
+        record = run_kernel(kernel, size="tiny", repeat=1)
+        assert record["events"] > 0 and record["events_per_sec"] > 0
+
     def test_every_kernel_runs_at_tiny(self):
         # the CI smoke size must cover the full registry
         for name in KERNELS:

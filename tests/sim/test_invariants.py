@@ -8,6 +8,7 @@ from repro.mem.mact import MACT
 from repro.mem.request import MemRequest
 from repro.noc.link import SlicedLink
 from repro.sim import Auditor, Simulator, Violation
+from repro.sim.stats import Counter
 
 
 def collect_auditor(**kwargs):
@@ -98,6 +99,35 @@ class TestRequestConservation:
         auditor.request_issued(r, 0.0)
         auditor.request_issued(r, 1.0)
         assert any("issued twice" in v.message for v in auditor.violations)
+
+    def test_horizon_stop_accepts_work_in_flight(self):
+        auditor = collect_auditor()
+        auditor.request_issued(MemRequest(addr=0, size=4, is_write=False), 0.0)
+        injected = Counter("injected")
+        injected.inc(3)                         # three packets in flight
+        auditor.register_flow("noc", injected, Counter("delivered"))
+        link = SlicedLink("l", width_bytes=8, slice_bytes=2)
+        auditor.register_link(link)
+        link.reserve(64, 95.0)                  # busy past the horizon
+        mact = MACT(Simulator(), lambda b: None, MACTConfig(threshold_cycles=500))
+        auditor.install(mact)
+        mact.submit(MemRequest(addr=0x40, size=4, is_write=False))
+        auditor.end_of_run(100.0, drained=False)
+        assert auditor.clean, auditor.violations
+
+    def test_horizon_stop_still_flags_excess_completions(self):
+        auditor = collect_auditor()
+        auditor.completed = 2
+        auditor.end_of_run(100.0, drained=False)
+        assert any("2 completions for 0 issued" in v.message
+                   for v in auditor.violations)
+
+    def test_drained_run_with_orphan_still_fails(self):
+        auditor = collect_auditor()
+        auditor.request_issued(MemRequest(addr=0, size=4, is_write=False), 0.0)
+        auditor.end_of_run(100.0, drained=True)
+        assert any("still outstanding" in v.message
+                   for v in auditor.violations)
 
     def test_end_of_run_is_idempotent(self):
         auditor = collect_auditor()
