@@ -29,10 +29,11 @@ bench:
 	REPRO_WORKERS=$(REPRO_WORKERS) $(PYTHON) -m pytest -q -p no:cacheprovider benchmarks
 
 # Outside-in benchmark gate (see bench/README.md): the tracer and compare
-# tests, then one short run each of tcg-kmp (the core pipeline) and
-# chip64-ocean (the NoC hub path) whose result lines must report every
+# tests, then one short run each of tcg-kmp (the core pipeline),
+# chip64-ocean (the NoC hub path) and sweep-mixed (the runner, its warm
+# chains and 10 cache replays) whose result lines must report every
 # golden digest correct.
-BENCH_CHECK_WORKLOADS = tcg-kmp chip64-ocean
+BENCH_CHECK_WORKLOADS = tcg-kmp chip64-ocean sweep-mixed
 bench-check:
 	$(PYTHON) -m pytest -q -p no:cacheprovider bench/tests
 	mkdir -p results
@@ -72,11 +73,13 @@ shard-smoke:
 		--instrs 80 --shards 1 2 --out results/perf
 
 # Checkpoint/restore smoke: the bit-identical-resume digest tests for all
-# three session kinds, then the CLI checkpoint lifecycle and a warm-started
-# sweep end to end (see docs/checkpointing.md).
+# three session kinds, the warm-sweep and warm-chain equivalence tests,
+# then the CLI checkpoint lifecycle and a warm-started sweep end to end
+# (see docs/checkpointing.md).
 ckpt-smoke:
 	$(PYTHON) -m pytest -q -p no:cacheprovider \
-		tests/chip/test_session_restore.py tests/exp/test_warm_sweep.py
+		tests/chip/test_session_restore.py tests/exp/test_warm_sweep.py \
+		tests/exp/test_warm_chain.py
 	$(PYTHON) -m repro.cli checkpoint save results/ckpt/smoke.ckpt.gz \
 		--cycles 800 --kind smarco --workload kmp --seed 3 \
 		--sub-rings 2 --cores 4 --threads-per-core 4 --instrs 120

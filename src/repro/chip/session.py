@@ -12,7 +12,9 @@ into a freshly rebuilt system, and finish the run into the same
 The contract is bit-identical resume: ``build -> run_to(T) -> save;
 restore -> finish`` returns exactly the outcome of ``build -> finish``.
 The warm-started sweep runner and the ``checkpoint`` CLI subcommands are
-both thin layers over this class.
+both thin layers over this class: the runner drives one session per warm
+group through its horizons and finishes each earlier horizon on a copy
+(:meth:`RunSession.finish_copy`).
 
 Checkpointable kinds are ``smarco``, ``xeon`` and ``sched`` — the three
 run kinds with a single long-lived simulator.  (``tcg`` is a microbench
@@ -52,6 +54,17 @@ def session_code_digest() -> str:
     from ..exp.cache import code_version
 
     return code_version()
+
+
+def _id_state() -> Dict[str, int]:
+    return {"request": request_id_state(), "packet": packet_id_state(),
+            "task": task_id_state()}
+
+
+def _set_id_state(ids: Dict[str, int]) -> None:
+    set_request_id_state(ids["request"])
+    set_packet_id_state(ids["packet"])
+    set_task_id_state(ids["task"])
 
 
 class RunSession:
@@ -167,23 +180,14 @@ class RunSession:
     # -- checkpointing -------------------------------------------------------
 
     def _extra_state(self) -> Dict[str, Any]:
-        extra: Dict[str, Any] = {
-            "ids": {
-                "request": request_id_state(),
-                "packet": packet_id_state(),
-                "task": task_id_state(),
-            },
-        }
+        extra: Dict[str, Any] = {"ids": _id_state()}
         if self.kind == "sched":
             extra["testbed"] = self.system.bed.state_dict()
             extra["policy"] = self.system.scheduler.state_dict()
         return extra
 
     def _apply_extra(self, extra: Dict[str, Any]) -> None:
-        ids = extra["ids"]
-        set_request_id_state(ids["request"])
-        set_packet_id_state(ids["packet"])
-        set_task_id_state(ids["task"])
+        _set_id_state(extra["ids"])
         if self.kind == "sched":
             self.system.bed.load_state(extra["testbed"])
             self.system.scheduler.load_state(extra["policy"])
@@ -203,6 +207,20 @@ class RunSession:
             data=data,
             objects=objects,
         )
+
+    def finish_copy(self, request: RunRequest) -> RunOutcome:
+        """Finish a copy of this session built from ``request``.
+
+        The copy is restored from an in-memory checkpoint of the current
+        cycle and run to its own horizon; this session is left where it
+        is, module-level id counters included, so it goes on exactly as
+        the straight run would.
+        """
+        ids = _id_state()
+        outcome = RunSession.restore(self.checkpoint(),
+                                     request=request).finish()
+        _set_id_state(ids)
+        return outcome
 
     def save(self, path: Union[str, Path]) -> Path:
         """Checkpoint and write to ``path`` (gzip when it ends in .gz)."""

@@ -30,10 +30,16 @@ from ..config import (
 )
 from ..errors import ConfigError, SchedulerError
 
-__all__ = ["RunRequest", "RUN_KINDS", "request_from_snapshot"]
+__all__ = ["RunRequest", "RUN_KINDS", "WARM_AXES", "request_from_snapshot"]
 
 #: Supported values of :attr:`RunRequest.kind`.
 RUN_KINDS = ("tcg", "smarco", "xeon", "compare", "sched", "traffic")
+
+#: The fields a warm-started sweep may vary within one warm group: the
+#: measurement horizon and the observation-only energy axes.  A session
+#: reads them only after the warm restore, so every point of a group
+#: follows one simulated trajectory up to its own horizon.
+WARM_AXES = ("run_cycles", "dvfs", "technology_nm", "power_gate_idle")
 
 
 @dataclass(frozen=True)
@@ -113,9 +119,8 @@ class RunRequest:
     #: cycle at which a warm-started sweep snapshots the shared prefix
     #: (0 disables warm starting for this request)
     warm_cycles: float = 0.0
-    #: request fields asserted not to affect the first ``warm_cycles``
-    #: cycles; points differing only in these fields share one warm
-    #: checkpoint (see :meth:`warm_base`)
+    #: request fields (a subset of :data:`WARM_AXES`) that points sharing
+    #: one warm checkpoint may differ in (see :meth:`warm_base`)
     warm_axes: Tuple[str, ...] = ()
 
     def validate(self) -> None:
@@ -204,12 +209,12 @@ class RunRequest:
                 raise ConfigError(
                     "run_cycles must exceed warm_cycles (the warm-up "
                     "prefix must end before the measurement horizon)")
-        known = {f.name for f in dataclasses.fields(RunRequest)}
         for axis in self.warm_axes:
-            if axis not in known:
-                raise ConfigError(f"unknown warm axis {axis!r}")
-            if axis in ("kind", "warm_cycles", "warm_axes"):
-                raise ConfigError(f"{axis!r} cannot be a warm axis")
+            if axis not in WARM_AXES:
+                raise ConfigError(
+                    f"{axis!r} cannot be a warm axis: it may change the "
+                    f"simulated run; allowed warm axes: "
+                    f"{', '.join(WARM_AXES)}")
 
     def replace(self, **changes: Any) -> "RunRequest":
         """A copy with ``changes`` applied (sweep axes use this)."""
@@ -221,11 +226,11 @@ class RunRequest:
         Every field named in ``warm_axes`` is reset to its class default,
         so sweep points that differ only in warm axes collapse onto one
         warm-base request — the runner simulates *that* request to
-        ``warm_cycles`` once, checkpoints it, and restores the checkpoint
-        into each point's own build.  The contract (documented in
-        ``docs/checkpointing.md``) is that warm axes must not influence
-        the simulation before ``warm_cycles``; structural divergence is
-        caught by the checkpoint schema hash at restore time.
+        ``warm_cycles`` once, checkpoints it, and runs the group's points
+        as one chain of horizons from the checkpoint.  The contract
+        (documented in ``docs/checkpointing.md``) is that warm axes must
+        not influence the simulated trajectory at all; :meth:`validate`
+        admits only the fields in :data:`WARM_AXES`.
         """
         defaults = {f.name: f.default for f in dataclasses.fields(RunRequest)}
         return self.replace(**{axis: defaults[axis] for axis in self.warm_axes})

@@ -5,6 +5,9 @@ points, satisfies what it can from the content-addressed result cache,
 fans the remaining points out across ``workers`` processes (plain
 ``multiprocessing``; ``workers=1`` is a deterministic serial fallback),
 and writes one telemetry record per point under ``<base_dir>/runs/``.
+In a warm-started sweep, each warm group (the points sharing one
+post-warmup checkpoint) is one unit of work: a single session that one
+worker drives through the group's horizons in ascending order.
 
 Determinism: every simulation is fully seeded by its request, so a
 parallel sweep returns results bit-identical to a serial sweep of the
@@ -18,12 +21,15 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..chip.run import RunOutcome, execute
+from ..chip.session import RunSession
+from ..sim.checkpoint import save_checkpoint
 from ..sim.stats import nest_flat_stats
 from .cache import ResultCache, code_version, request_key
-from .request import request_from_snapshot
+from .request import RunRequest, request_from_snapshot
 from .spec import ExperimentSpec, SweepPoint
 from .telemetry import RunRecord, utc_now, write_record
 
@@ -75,27 +81,83 @@ def resolve_shards(shards: Optional[int] = None) -> int:
     return max(0, _resolve_env_count(SHARDS_ENV, shards, 0))
 
 
-def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: simulate one request from its snapshot.
+#: One unit of pool work: the points it covers and, for a warm group, the
+#: path of the group's post-warmup checkpoint (``None`` for a cold point).
+_Unit = Tuple[List[SweepPoint], Optional[str]]
 
-    With a ``warm`` checkpoint path, the worker restores the shared
-    post-warmup snapshot into the point's own build and simulates only
-    the measurement suffix instead of re-running the warm-up prefix.
+
+def _execute_unit(unit: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """Worker entry point: simulate one cold point or one warm chain.
+
+    A unit is a list of request snapshots plus, for a warm group, the
+    path of its shared post-warmup checkpoint.  Returns one
+    ``{"outcome", "wall_time_s", "worker"}`` dict per request, in the
+    unit's order.
     """
-    request = request_from_snapshot(payload["snapshot"])
-    start = time.perf_counter()
-    warm = payload.get("warm")
+    requests = [request_from_snapshot(snap) for snap in unit["snapshots"]]
+    warm = unit["warm"]
     if warm:
-        from ..chip.session import RunSession
-
-        outcome = RunSession.restore(warm, request=request).finish()
+        done = _run_chain(requests, Path(warm))
     else:
-        outcome = execute(request)
-    return {
-        "outcome": outcome.to_dict(),
-        "wall_time_s": time.perf_counter() - start,
-        "worker": f"pid{os.getpid()}",
-    }
+        start = time.perf_counter()
+        outcome = execute(requests[0]).to_dict()
+        done = [{"outcome": outcome,
+                 "wall_time_s": time.perf_counter() - start}]
+    worker = f"pid{os.getpid()}"
+    return [dict(item, worker=worker) for item in done]
+
+
+def _run_chain(requests: List[RunRequest],
+               warm: Path) -> List[Dict[str, Any]]:
+    """Simulate one warm group as one chain of ascending horizons.
+
+    The session starts from the group's post-warmup checkpoint: restored
+    from ``warm`` when an earlier sweep left it, else simulated here and
+    saved there.  Each point but the last runs the session to its
+    ``run_cycles`` and finishes an in-memory copy built from its own
+    request; the last point finishes the session itself.  Sound because
+    every point of a group follows one trajectory: warm axes never change
+    the simulated run.
+
+    Points without a horizon (``None`` = run to completion) branch off
+    first, at the warm-up checkpoint: a run that drains before a later
+    horizon has its clock advanced to that horizon, so completion can
+    not be reached from there.
+
+    A point's wall time runs from the end of the point before it, so the
+    first one also carries the restore or the warm-up prefix.
+    """
+    order = sorted(range(len(requests)),
+                   key=lambda i: (requests[i].run_cycles is not None,
+                                  requests[i].run_cycles or 0.0))
+    mark = time.perf_counter()
+    session = _warm_session(requests[order[-1]], warm)
+    out: List[Dict[str, Any]] = [{}] * len(requests)
+    for i in order:
+        request = requests[i]
+        if i == order[-1]:
+            outcome = session.finish()
+        else:
+            if request.run_cycles is not None:
+                session.run_to(request.run_cycles)
+            outcome = session.finish_copy(request)
+        result = outcome.to_dict()
+        now = time.perf_counter()
+        out[i] = {"outcome": result, "wall_time_s": now - mark}
+        mark = now
+    return out
+
+
+def _warm_session(request: RunRequest, warm: Path) -> RunSession:
+    """A session for ``request`` at its group's post-warmup checkpoint."""
+    if warm.is_file():
+        return RunSession.restore(warm, request=request)
+    base = request.warm_base()
+    prefix = RunSession(base)
+    prefix.run_to(base.warm_cycles)
+    ckpt = prefix.checkpoint()
+    save_checkpoint(ckpt, warm)
+    return RunSession.restore(ckpt, request=request)
 
 
 @dataclass
@@ -139,8 +201,6 @@ class Runner:
         use_cache: bool = True,
         version: Optional[str] = None,
     ) -> None:
-        from pathlib import Path
-
         base = Path(base_dir)
         self.workers = resolve_workers(workers)
         self.runs_dir = base / "runs"
@@ -169,19 +229,21 @@ class Runner:
             else:
                 pending.append(point)
 
-        warm_paths = self._materialize_warm(pending) if warm_start else {}
-        executed = self._execute(pending, warm_paths)
-        for point, done in zip(pending, executed):
-            key = keys[point.index]
-            kind = "warm" if point.index in warm_paths else "miss"
-            self.cache.note(kind)
-            outcome_dict = done["outcome"]
-            if self.use_cache:
-                self.cache.put(key, outcome_dict)
-            outcomes[point.index] = RunOutcome.from_dict(outcome_dict)
-            records[point.index] = self._record(
-                spec, point, key, outcome_dict, cache=kind,
-                worker=done["worker"], wall_time_s=done["wall_time_s"])
+        units = self._units(pending, warm_start)
+        warm_hits = 0
+        for (members, warm), done in zip(units, self._execute(units)):
+            kind = "warm" if warm else "miss"
+            warm_hits += len(members) if warm else 0
+            for point, item in zip(members, done):
+                key = keys[point.index]
+                self.cache.note(kind)
+                outcome_dict = item["outcome"]
+                if self.use_cache:
+                    self.cache.put(key, outcome_dict)
+                outcomes[point.index] = RunOutcome.from_dict(outcome_dict)
+                records[point.index] = self._record(
+                    spec, point, key, outcome_dict, cache=kind,
+                    worker=item["worker"], wall_time_s=item["wall_time_s"])
 
         for record in records:
             write_record(self.runs_dir, record)
@@ -191,63 +253,53 @@ class Runner:
             outcomes=list(outcomes),
             records=list(records),
             hits=len(points) - len(pending),
-            misses=len(pending) - len(warm_paths),
+            misses=len(pending) - warm_hits,
             wall_time_s=time.perf_counter() - sweep_start,
             workers=self.workers,
-            warm_hits=len(warm_paths),
+            warm_hits=warm_hits,
             hit_counts=counts,
         )
 
     # -- internals ---------------------------------------------------------------
 
-    def _materialize_warm(self,
-                          pending: List[SweepPoint]) -> Dict[int, str]:
-        """One shared post-warmup checkpoint per warm group.
+    def _units(self, pending: List[SweepPoint],
+               warm_start: bool) -> List[_Unit]:
+        """Split pending points into units of work for the pool.
 
-        Pending points with ``warm_cycles > 0`` are grouped by their
-        :meth:`~repro.exp.request.RunRequest.warm_base`; each group's
-        base is simulated to ``warm_cycles`` exactly once (or reused
-        from an earlier sweep on disk) and every point in the group is
-        mapped to the resulting checkpoint file.
+        Each cold point is a unit of its own.  With ``warm_start``, the
+        points with ``warm_cycles > 0`` are grouped by their
+        :meth:`~repro.exp.request.RunRequest.warm_base`, and each group is
+        one unit: a chain over one post-warmup checkpoint, kept at
+        ``<base_dir>/cache/warm/<key>.ckpt.gz`` for later sweeps.
         """
-        from ..chip.session import SESSION_KINDS, RunSession
-
+        units: List[_Unit] = []
         groups: Dict[str, List[SweepPoint]] = {}
-        bases: Dict[str, Any] = {}
         for point in pending:
             request = point.request
-            if request.warm_cycles <= 0 or request.kind not in SESSION_KINDS:
+            if not warm_start or request.warm_cycles <= 0:
+                units.append(([point], None))
                 continue
-            base = request.warm_base()
-            wkey = request_key(base, self.version)
-            groups.setdefault(wkey, []).append(point)
-            bases[wkey] = base
-        warm_paths: Dict[int, str] = {}
-        for wkey, members in groups.items():
-            path = self.warm_dir / f"{wkey}.ckpt.gz"
-            if not path.is_file():
-                session = RunSession(bases[wkey])
-                session.run_to(bases[wkey].warm_cycles)
-                session.save(path)
-            for point in members:
-                warm_paths[point.index] = str(path)
-        return warm_paths
+            wkey = request_key(request.warm_base(), self.version)
+            if wkey not in groups:
+                groups[wkey] = []
+                units.append((groups[wkey],
+                              str(self.warm_dir / f"{wkey}.ckpt.gz")))
+            groups[wkey].append(point)
+        return units
 
-    def _execute(self, pending: List[SweepPoint],
-                 warm_paths: Optional[Dict[int, str]] = None,
-                 ) -> List[Dict[str, Any]]:
-        warm_paths = warm_paths or {}
-        payloads = [{"snapshot": p.request.snapshot(),
-                     "warm": warm_paths.get(p.index)} for p in pending]
-        if self.workers <= 1 or len(pending) <= 1:
-            return [dict(_execute_payload(payload), worker="serial")
+    def _execute(self, units: List[_Unit]) -> List[List[Dict[str, Any]]]:
+        payloads = [{"snapshots": [p.request.snapshot() for p in members],
+                     "warm": warm} for members, warm in units]
+        if self.workers <= 1 or len(units) <= 1:
+            return [[dict(item, worker="serial")
+                     for item in _execute_unit(payload)]
                     for payload in payloads]
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None)
-        n = min(self.workers, len(pending))
+        n = min(self.workers, len(units))
         with ctx.Pool(processes=n) as pool:
-            return pool.map(_execute_payload, payloads, chunksize=1)
+            return pool.map(_execute_unit, payloads, chunksize=1)
 
     def _record(self, spec: ExperimentSpec, point: SweepPoint, key: str,
                 outcome_dict: Dict[str, Any], cache: str, worker: str,

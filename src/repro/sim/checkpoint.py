@@ -24,6 +24,7 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
@@ -236,15 +237,22 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: Path) -> Path:
-    """Write a checkpoint (gzipped JSON when the name ends in ``.gz``)."""
+    """Write a checkpoint (gzipped JSON when the name ends in ``.gz``).
+
+    The write is atomic (tmp file + ``os.replace``): an interrupted save
+    leaves no file at ``path``, never a torn one.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(ckpt.to_dict())
+    payload = json.dumps(ckpt.to_dict()).encode("utf-8")
     if path.suffix == ".gz":
-        with gzip.open(path, "wt", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        path.write_text(payload)
+        payload = gzip.compress(payload)
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    try:
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 

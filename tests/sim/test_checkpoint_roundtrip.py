@@ -200,3 +200,48 @@ class TestCheckpointErrors:
         bogus.write_text("{}")
         with pytest.raises(CheckpointError, match="not a repro-smarco"):
             load_checkpoint(bogus)
+
+    @pytest.mark.parametrize("name", ["torn.ckpt.gz", "torn.ckpt.json"])
+    def test_interrupted_save_leaves_no_file(self, ckpt, tmp_path,
+                                             monkeypatch, name):
+        import builtins
+        import io
+
+        from repro.sim.checkpoint import load_checkpoint, save_checkpoint
+
+        real_open = builtins.open
+
+        class Torn:
+            """A file for writing that takes half a write, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __getattr__(self, attr):
+                return getattr(self.fh, attr)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError("disk full")
+
+        def torn_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return Torn(fh) if "w" in mode else fh
+
+        target = tmp_path / name
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", torn_open)
+            patch.setattr(io, "open", torn_open)
+            with pytest.raises(OSError, match="disk full"):
+                save_checkpoint(ckpt, target)
+        assert list(tmp_path.iterdir()) == []
+        # a completed save is readable and leaves nothing else behind
+        save_checkpoint(ckpt, target)
+        assert list(tmp_path.iterdir()) == [target]
+        assert load_checkpoint(target).cycle == ckpt.cycle
