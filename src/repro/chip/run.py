@@ -27,7 +27,8 @@ from ..core.tcg import TCGCore
 from ..errors import ConfigError
 from ..exp.request import RunRequest
 from ..power.energy import PowerModel, XeonPowerModel
-from ..power.report import build_energy_report
+from ..power.report import (SMARCO_UTILIZATION_FLOOR,
+                            XEON_UTILIZATION_FLOOR, build_energy_report)
 from ..sim.engine import Simulator
 from ..sim.rng import RngTree
 from ..sim.stats import StatsRegistry
@@ -273,46 +274,20 @@ def run_tcg_rig(request: RunRequest,
     return outcome, sim
 
 
-def _resolve_request_shards(request: RunRequest, auditor) -> int:
-    """Effective shard count: the request's, unless a feature that
-    requires the serial engine is active (warn and fall back)."""
-    if not request.shards:
-        return 0
-    cfg = request.smarco_config if request.smarco_config is not None \
-        else smarco_default()
-    blockers = []
-    if auditor is not None:
-        blockers.append("runtime audits")
-    if request.realtime_fraction:
-        blockers.append("realtime scheduling")
-    if cfg.trace_sample_rate:
-        blockers.append("packet tracing")
-    if blockers:
-        warnings.warn(
-            f"ignoring shards={request.shards}: {', '.join(blockers)} "
-            "require(s) the serial engine; running serially",
-            RuntimeWarning, stacklevel=3)
-        return 0
-    return request.shards
-
-
 def _execute_smarco(request: RunRequest,
                     audit: Optional[AuditConfig] = None) -> RunOutcome:
     profile = get_profile(request.workload)
     auditor = _make_auditor(audit)
-    shards = _resolve_request_shards(request, auditor)
     chip = SmarCoChip(request.smarco_config, seed=request.seed,
                       core_policy=request.core_policy,
-                      realtime_fraction=request.realtime_fraction,
-                      shards=shards)
+                      realtime_fraction=request.realtime_fraction)
     if auditor is not None:
         auditor.install(chip)
     chip.load_profile(profile, request.threads_per_core,
                       request.instrs_per_thread,
                       total_threads=request.total_threads,
                       shared_code=request.shared_code)
-    result = chip.run(max_cycles=request.run_cycles,
-                      quantum=request.shard_quantum if shards else None)
+    result = chip.run(max_cycles=request.run_cycles)
     if auditor is not None:
         # a run cut at its run_cycles horizon still has events queued
         auditor.end_of_run(chip.sim.now, drained=not chip.sim.pending())
@@ -368,11 +343,13 @@ def _execute_compare(request: RunRequest,
         smarco=smarco_result,
         xeon=xeon_result,
         smarco_watts=smarco_power.total_watts(
-            utilization=max(0.5, smarco_result.utilization),
+            utilization=max(SMARCO_UTILIZATION_FLOOR,
+                            smarco_result.utilization),
             technology_nm=request.technology_nm,
         ),
         xeon_watts=xeon_power.total_watts(
-            utilization=max(0.1, xeon_result.utilization)),
+            utilization=max(XEON_UTILIZATION_FLOOR,
+                            xeon_result.utilization)),
     )
     # both systems are component roots ("chip." / "xeon." prefixes), so the
     # two flat dumps merge without collision

@@ -75,10 +75,6 @@ class RunSession:
             raise ConfigError(
                 f"run kind {request.kind!r} does not support sessions; "
                 f"supported: {', '.join(SESSION_KINDS)}")
-        if request.shards:
-            raise ConfigError(
-                "sessions (checkpoint/restore) require the serial "
-                "engine; drop shards from the request")
         request.validate()
         self.request = request
         self.kind = request.kind

@@ -97,16 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enable the runtime invariant audit layer "
                             "(fails loudly on any violation; results are "
                             "identical to an unaudited run)")
-    run_p.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="shard the chip across simulation domains: "
-                            "1 = in-process (bit-identical to serial), "
-                            "N>=2 = that many worker processes; defaults "
-                            "to $REPRO_SHARDS, else the serial engine")
-    run_p.add_argument("--quantum", type=float, default=None,
-                       metavar="CYCLES",
-                       help="conservative sync window for sharded runs "
-                            "(default: the largest safe window, the "
-                            "bridge latency; 0 = sequential instant mode)")
     run_p.add_argument("--dvfs", default="nominal", choices=list_dvfs(),
                        help="DVFS operating point for energy accounting "
                             "(observation-only: simulated cycles are "
@@ -426,17 +416,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = smarco_scaled(args.sub_rings, args.cores)
     if args.trace_rate:
         config = dataclasses.replace(config, trace_sample_rate=args.trace_rate)
-    from .exp.runner import resolve_shards
-
-    shards = resolve_shards(args.shards)
     request = RunRequest(
         kind="smarco", workload=args.workload, seed=args.seed,
         smarco_config=config,
         threads_per_core=args.threads_per_core,
         instrs_per_thread=args.instrs,
         core_policy=args.policy, shared_code=args.shared_code,
-        shards=shards,
-        shard_quantum=args.quantum if shards else None,
         dvfs=args.dvfs, technology_nm=args.node,
         power_gate_idle=args.power_gate,
     )

@@ -16,12 +16,6 @@ class SimulationError(ReproError):
     the past or running a finished simulation)."""
 
 
-class ShardingError(SimulationError):
-    """A sharded (multi-domain) run would violate conservative time-window
-    synchronization: quantum larger than a boundary latency, a zero-latency
-    wire crossing domains, or a message delivered into a domain's past."""
-
-
 class ConfigError(ReproError):
     """A configuration object is inconsistent or out of the supported range."""
 

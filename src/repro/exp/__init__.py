@@ -32,7 +32,6 @@ __all__ = [
     "Runner",
     "SweepResult",
     "resolve_workers",
-    "resolve_shards",
     "RunRecord",
     "load_records",
     "summarize_runs",
@@ -49,7 +48,6 @@ _LAZY = {
     "Runner": "runner",
     "SweepResult": "runner",
     "resolve_workers": "runner",
-    "resolve_shards": "runner",
     "RunRecord": "telemetry",
     "load_records": "telemetry",
     "summarize_runs": "telemetry",

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from ..config import RingConfig
 from ..errors import NocError
 from ..sim.component import Component
-from ..sim.engine import Completion, Simulator, active_sim
+from ..sim.engine import Completion, Simulator
 from ..sim.snapshot import snapshotable
 from ..sim.stats import StatsRegistry
 from .packet import NodeId, Packet
@@ -52,10 +52,7 @@ class _NocFlight:
 
     def _step(self, _payload=None) -> None:
         noc = self.noc
-        # Sharded runs dispatch this flight from several engines (sub-ring
-        # legs on ring engines, main-ring legs on the hub); serial runs
-        # always resolve to the NoC's own engine.
-        sim = active_sim(noc.sim)
+        sim = noc.sim
         packet = self.packet
         while True:
             if self.phase == "start":
@@ -85,7 +82,7 @@ class _NocFlight:
                     packet.advance_traces(
                         "bridge", f"{noc.path}.bridge{src_ring}", sim.now)
                 self.phase = "main"
-                noc._cross_to_hub(src_ring, self._step)
+                sim.schedule(noc.config.bridge_latency, self._step, None)
                 return
             if self.phase == "main":
                 # Leg 2: main ring.
@@ -116,7 +113,7 @@ class _NocFlight:
                     packet.advance_traces(
                         "bridge", f"{noc.path}.bridge{dst_ring}", sim.now)
                 self.phase = "leg_out"
-                noc._cross_to_sub(dst_ring, self._step)
+                sim.schedule(noc.config.bridge_latency, self._step, None)
                 return
             if self.phase == "leg_out":
                 leg = noc.sub_ring_nets[self.dst_ring].send(
@@ -152,20 +149,11 @@ class HierarchicalRingNoC(Component):
         registry: Optional[StatsRegistry] = None,
         parent: Optional[Component] = None,
         name: str = "noc",
-        sub_ring_sims: Optional[List[Simulator]] = None,
-        shard_channels=None,
     ) -> None:
         if mem_channels > sub_rings:
             raise NocError("more memory controllers than main-ring bridge slots")
-        if sub_ring_sims is not None and len(sub_ring_sims) != sub_rings:
-            raise NocError("one sub-ring engine required per sub-ring")
         super().__init__(name, parent=parent, sim=sim, registry=registry)
         self.config = config if config is not None else RingConfig()
-        # Sharded partition hooks: per-sub-ring engines and the boundary
-        # channels bridging them to the hub (None in serial runs).
-        self._sub_ring_sims = sub_ring_sims
-        self._to_hub = shard_channels[0] if shard_channels else None
-        self._to_sub = shard_channels[1] if shard_channels else None
         self.inject = self.in_port("inject", Packet, handler=self.send)
         self.num_sub_rings = sub_rings
         self.cores_per_sub_ring = cores_per_sub_ring
@@ -200,8 +188,7 @@ class HierarchicalRingNoC(Component):
         # -- sub-rings: cores 0..n-1, bridge at the last stop.
         self.sub_ring_nets: List[Ring] = [
             Ring.from_config(
-                sub_ring_sims[s] if sub_ring_sims is not None else sim,
-                f"sub{s}", cores_per_sub_ring + 1, self.config,
+                sim, f"sub{s}", cores_per_sub_ring + 1, self.config,
                 is_main=False, registry=self.stats,
             )
             for s in range(sub_rings)
@@ -248,29 +235,11 @@ class HierarchicalRingNoC(Component):
         """Sub-ring number for core nodes, None for main-ring devices."""
         return node.ring if node.kind == "core" else None
 
-    # -- domain boundaries -------------------------------------------------------
-
-    def _cross_to_hub(self, ring: int, fn) -> None:
-        """Bridge transfer sub-ring ``ring`` -> main ring (one bridge latency)."""
-        if self._to_hub is not None:
-            self._to_hub[ring].cross(fn, None)
-        else:
-            active_sim(self.sim).schedule(
-                self.config.bridge_latency, fn, None)
-
-    def _cross_to_sub(self, ring: int, fn) -> None:
-        """Bridge transfer main ring -> sub-ring ``ring``."""
-        if self._to_sub is not None:
-            self._to_sub[ring].cross(fn, None)
-        else:
-            active_sim(self.sim).schedule(
-                self.config.bridge_latency, fn, None)
-
     # -- sending -------------------------------------------------------------------
 
     def send(self, packet: Packet) -> Completion:
         """Route ``packet`` from ``packet.src`` to ``packet.dst``."""
-        sim = active_sim(self.sim)
+        sim = self.sim
         packet.created_at = sim.now
         self.injected.inc()
         completion = Completion(sim, f"noc.pkt{packet.pkt_id}")

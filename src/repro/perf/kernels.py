@@ -27,11 +27,6 @@ Each kernel isolates one simulator hot path:
   chip session through the versioned checkpoint container (the warm-
   start materialization hot path; digest proves the restored session
   still finishes bit-identically);
-* ``shard_sync``       — the chip_fig23 workload through the sharded
-  executor (domain partition + boundary channels + windowed sync) at
-  quantum 1, the worst-case window count; its digest must equal
-  ``chip_fig23``'s, which is the serial-equivalence guarantee of
-  docs/sharding.md measured as a perf kernel;
 * ``traffic_arrivals`` — the open-loop cluster tier on a synthetic chip
   calibration: bursty arrivals through the subring-aware balancer into
   queueing chip servers, every latency folded through the streaming
@@ -81,7 +76,6 @@ SIZES: Dict[str, Dict[str, Dict[str, int]]] = {
         "chip_fig17": {"instrs": 60},
         "chip_fig23": {"instrs": 40},
         "ckpt_roundtrip": {"cycle": 300, "rounds": 2},
-        "shard_sync": {"instrs": 40, "quantum": 1},
         "traffic_arrivals": {"requests": 2_000, "chips": 2},
         "energy_accounting": {"rounds": 20},
     },
@@ -96,7 +90,6 @@ SIZES: Dict[str, Dict[str, Dict[str, int]]] = {
         "chip_fig17": {"instrs": 300},
         "chip_fig23": {"instrs": 120},
         "ckpt_roundtrip": {"cycle": 800, "rounds": 5},
-        "shard_sync": {"instrs": 120, "quantum": 1},
         "traffic_arrivals": {"requests": 20_000, "chips": 4},
         "energy_accounting": {"rounds": 200},
     },
@@ -111,7 +104,6 @@ SIZES: Dict[str, Dict[str, Dict[str, int]]] = {
         "chip_fig17": {"instrs": 600},
         "chip_fig23": {"instrs": 250},
         "ckpt_roundtrip": {"cycle": 1500, "rounds": 10},
-        "shard_sync": {"instrs": 250, "quantum": 1},
         "traffic_arrivals": {"requests": 150_000, "chips": 8},
         "energy_accounting": {"rounds": 1_000},
     },
@@ -437,30 +429,6 @@ def _k_ckpt_roundtrip(params: Dict[str, int]) -> Dict[str, Any]:
             "bytes": size, "digest": result_digest(restored.finish())}
 
 
-def _k_shard_sync(params: Dict[str, int]) -> Dict[str, Any]:
-    """The chip_fig23 workload through the in-process sharded executor.
-
-    Quantum 1 forces the maximum number of sync windows, so this kernel
-    times the sharding *overhead* (window scheduling, boundary channel
-    drains, tap bookkeeping) on top of the same simulation work
-    chip_fig23 does serially.  The digest must match chip_fig23's — the
-    serial-equivalence guarantee, pinned in
-    tests/perf/test_golden_digest.py.
-    """
-    from ..chip.run import execute
-    from ..config import smarco_scaled
-    from ..exp import RunRequest
-
-    request = RunRequest(kind="smarco", workload="wordcount", seed=0,
-                         smarco_config=smarco_scaled(2, 4),
-                         threads_per_core=4,
-                         instrs_per_thread=params["instrs"],
-                         shards=1, shard_quantum=float(params["quantum"]))
-    outcome = execute(request)
-    return {"events": 0, "units": outcome.result.instructions,
-            "unit": "instrs", "digest": result_digest(outcome)}
-
-
 def _k_energy_accounting(params: Dict[str, int]) -> Dict[str, Any]:
     """Synthetic scoped stats through the activity energy model.
 
@@ -566,7 +534,6 @@ KERNELS: Dict[str, Callable[[Dict[str, int]], Dict[str, Any]]] = {
     "chip_fig17": _k_chip_fig17,
     "chip_fig23": _k_chip_fig23,
     "ckpt_roundtrip": _k_ckpt_roundtrip,
-    "shard_sync": _k_shard_sync,
     "traffic_arrivals": _k_traffic_arrivals,
     "energy_accounting": _k_energy_accounting,
 }

@@ -28,7 +28,7 @@ __all__ = ["EnergyReport", "build_energy_report", "TOP_PATHS"]
 #: how many hottest component paths the report keeps
 TOP_PATHS = 8
 
-#: activity floors matching ``chip.run._execute_compare``'s billing
+#: activity floors of every power bill, here and in the Fig 22 compare
 SMARCO_UTILIZATION_FLOOR = 0.5
 XEON_UTILIZATION_FLOOR = 0.1
 

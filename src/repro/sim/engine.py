@@ -12,7 +12,9 @@ and two programming styles on top of it:
 
 Time is measured in *cycles* of the component's clock domain; the library
 runs everything in a single 1.5 GHz domain, matching the paper, so a cycle
-is globally meaningful.
+is globally meaningful.  One :class:`Simulator` drives a whole simulated
+system serially: every component, signal and completion schedules on the
+engine it was built with.
 """
 
 from __future__ import annotations
@@ -22,33 +24,7 @@ from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from ..errors import SimulationError
 
-__all__ = ["Simulator", "EventSignal", "Process", "Completion",
-           "active_sim"]
-
-# -- active-engine context ---------------------------------------------------
-#
-# Sharded execution (repro.sim.domain) advances several engines in one
-# process.  Helper objects that were built against one engine (signals,
-# completions, NoC flights) may be *executed* by another domain's engine;
-# what must stay local is the engine that is currently dispatching events.
-# The sharded executor publishes it here around every window.  Serial runs
-# never set it, so ``active_sim(fallback)`` degenerates to ``fallback``
-# and the serial event order is untouched.
-
-_ACTIVE: Optional["Simulator"] = None
-
-
-def active_sim(fallback: "Simulator") -> "Simulator":
-    """The engine currently dispatching events (``fallback`` if none)."""
-    return _ACTIVE if _ACTIVE is not None else fallback
-
-
-def _swap_active(sim: Optional["Simulator"]) -> Optional["Simulator"]:
-    """Install ``sim`` as the dispatching engine; returns the previous one."""
-    global _ACTIVE
-    prev = _ACTIVE
-    _ACTIVE = sim
-    return prev
+__all__ = ["Simulator", "EventSignal", "Process", "Completion"]
 
 
 class EventSignal:
@@ -82,12 +58,9 @@ class EventSignal:
         self.fire_count += 1
         self.last_payload = payload
         waiters, self._waiters = self._waiters, []
-        # Waiters resume on the engine that fired the signal: in a sharded
-        # run the firing event's domain is where the wakeup belongs (the
-        # signal object may have been created under another engine).
-        sim = _ACTIVE if _ACTIVE is not None else self.sim
+        schedule = self.sim.schedule
         for cb in waiters:
-            sim.schedule(0, cb, payload)
+            schedule(0, cb, payload)
         return len(waiters)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -144,9 +117,9 @@ class Completion:
         waiters = self._waiters
         if waiters:
             self._waiters = []
-            sim = _ACTIVE if _ACTIVE is not None else self.sim
+            schedule = self.sim.schedule
             for cb in waiters:
-                sim.schedule(0, cb, result)
+                schedule(0, cb, result)
 
     def wait(self, callback: Callable[[Any], None]) -> None:
         """Run ``callback(result)`` when finished, mirroring the engine's
@@ -154,8 +127,7 @@ class Completion:
         zero-delay wakeup (one sequence number), pending ones queue (no
         sequence number until the finish)."""
         if self.finished:
-            sim = _ACTIVE if _ACTIVE is not None else self.sim
-            sim.schedule(0, callback, self.result)
+            self.sim.schedule(0, callback, self.result)
         elif self._done_signal is not None:
             self._done_signal.wait(callback)
         else:
@@ -454,7 +426,7 @@ class Simulator:
                         self.now = when
                     fn(*args)
                     executed += 1
-            if until is not None and self.now < until and not self._interrupted():
+            if until is not None and self.now < until:
                 self.now = until
         finally:
             if due_head:
@@ -508,9 +480,6 @@ class Simulator:
     def pending(self) -> int:
         """Number of events currently queued."""
         return len(self._queue) + len(self._due) - self._due_head
-
-    def _interrupted(self) -> bool:
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self.now}, pending={self.pending()})"

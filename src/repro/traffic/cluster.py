@@ -241,8 +241,8 @@ def calibrate_chip(request: Any) -> ChipCalibration:
         f.name: f.default for f in dataclasses.fields(type(request))
         if f.name.startswith("traffic_")}
     calib_request = request.replace(
-        kind="smarco", smarco_config=config, shards=0, shard_quantum=None,
-        run_cycles=None, warm_cycles=0.0, warm_axes=(), **traffic_defaults)
+        kind="smarco", smarco_config=config, run_cycles=None,
+        warm_cycles=0.0, warm_axes=(), **traffic_defaults)
     key = canonical_json(calib_request.snapshot())
     cached = _CALIBRATIONS.get(key)
     if cached is not None:

@@ -26,26 +26,21 @@ from repro.perf import KERNELS, SIZES, run_kernel
 from repro.perf.kernels import result_digest
 
 # size -> kernel -> digest (see module docstring before touching these)
-# shard_sync pins the SAME digests as chip_fig23: the sharded executor
-# (shards=1, quantum=1) must reproduce the serial run bit-for-bit.
 GOLDEN = {
     "tiny": {
         "chip_fig17": "5177b6bac3cf1da9",
         "chip_fig23": "c02d317e51b97e68",
-        "shard_sync": "c02d317e51b97e68",
     },
     "small": {
         "chip_fig17": "e8b948703de2b034",
         "chip_fig23": "8d95ec410087b301",
-        "shard_sync": "8d95ec410087b301",
     },
 }
 
 
 class TestGoldenDigests:
     @pytest.mark.parametrize("size", ["tiny", "small"])
-    @pytest.mark.parametrize("kernel",
-                             ["chip_fig17", "chip_fig23", "shard_sync"])
+    @pytest.mark.parametrize("kernel", ["chip_fig17", "chip_fig23"])
     def test_fixed_seed_runs_are_bit_identical(self, size, kernel):
         out = KERNELS[kernel](dict(SIZES[size][kernel]))
         assert out["digest"] == GOLDEN[size][kernel], (
