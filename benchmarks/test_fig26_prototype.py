@@ -10,9 +10,12 @@ Its energy-efficiency gain over the Xeon drops to 2.05x-6.84x (average
 import dataclasses
 
 from repro.analysis import geometric_mean, render_table
-from repro.chip import SmarCoChip, run_xeon
+from repro.chip import SmarCoChip, execute
 from repro.config import smarco_scaled
+from repro.exp import RunRequest
 from repro.power import PowerModel, XeonPowerModel
+from repro.power.report import (SMARCO_UTILIZATION_FLOOR,
+                                XEON_UTILIZATION_FLOOR)
 from repro.workloads import HTC_PROFILES, get_profile
 
 WORKLOADS = list(HTC_PROFILES)
@@ -32,13 +35,15 @@ def _gain(workload, cfg, instrs):
     chip.load_profile(get_profile(workload), threads_per_core=8,
                       instrs_per_thread=instrs)
     smarco = chip.run()
-    xeon = run_xeon(workload, n_threads=48, instrs_per_thread=30_000,
-                    seed=26)
+    xeon = execute(RunRequest(kind="xeon", workload=workload, seed=26,
+                              xeon_threads=48,
+                              xeon_instrs_per_thread=30_000)).result
     smarco_watts = PowerModel(cfg).total_watts(
-        utilization=max(0.5, smarco.utilization), technology_nm=40,
+        utilization=max(SMARCO_UTILIZATION_FLOOR, smarco.utilization),
+        technology_nm=40,
     ) + BOARD_OVERHEAD_W
     xeon_watts = XeonPowerModel().total_watts(
-        utilization=max(0.1, xeon.utilization))
+        utilization=max(XEON_UTILIZATION_FLOOR, xeon.utilization))
     smarco_eff = smarco.throughput_ips / smarco_watts
     xeon_eff = xeon.throughput_ips / xeon_watts
     return smarco_eff / xeon_eff

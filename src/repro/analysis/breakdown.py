@@ -4,10 +4,10 @@ The chip records every completed traced request into a
 :class:`LatencyBreakdown`: each closed hop lands in a per-component
 accumulator (``<component>.hop.<stage>``) and histogram
 (``<component>.hophist.<stage>``) registered in the chip's root stats
-registry, so the breakdown flows into ``RunOutcome.stats`` and nests
-under the component tree in ``RunRecord.stats_tree`` like every other
-stat.  :func:`rows_from_stats` inverts those key names back into rows for
-the CLI's ``report --breakdown`` view.
+registry, so the breakdown flows into ``RunOutcome.stats`` (nested by
+component path by ``RunOutcome.stats_tree()``) like every other stat.
+:func:`rows_from_stats` inverts those key names back into rows for the
+CLI's ``report --breakdown`` view.
 """
 
 from __future__ import annotations

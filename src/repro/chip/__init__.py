@@ -5,10 +5,7 @@ from .run import (
     ComparisonResult,
     RunOutcome,
     TcgRunResult,
-    compare,
     execute,
-    run_smarco,
-    run_xeon,
 )
 from .session import SESSION_KINDS, RunSession
 from .smarco import SmarCoChip, SmarcoRunResult
@@ -27,7 +24,4 @@ __all__ = [
     "DictResult",
     "result_from_dict",
     "execute",
-    "run_smarco",
-    "run_xeon",
-    "compare",
 ]

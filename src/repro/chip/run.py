@@ -1,27 +1,28 @@
 """The unified run API.
 
 Every simulation the repo can perform — one TCG core, a SmarCo chip, the
-Xeon baseline, or a SmarCo-vs-Xeon comparison — is described by a frozen
-:class:`repro.exp.RunRequest` and executed by :func:`execute`, which
-returns a :class:`RunOutcome`: the result object *plus* the full
-``StatsRegistry`` dump of the simulation.  The sweep runner
-(``repro.exp.runner``), the CLI and the benches all go through this one
-entry point, so there is a single source of truth for how a request maps
-to a simulator build.
+Xeon baseline, a SmarCo-vs-Xeon comparison, a scheduler race or a
+serving cluster — is described by a frozen :class:`repro.exp.RunRequest`
+and executed by :func:`execute`, which returns a :class:`RunOutcome`:
+the result object *plus* the full ``StatsRegistry`` dump of the
+simulation.  The sweep runner (``repro.exp.runner``), the CLI and the
+benches all go through this one entry point; a caller that wants only
+the result reads ``execute(request).result``.
 
-The historical per-kind helpers (:func:`run_smarco`, :func:`run_xeon`,
-:func:`compare`) remain as thin shims: they accept a ``RunRequest`` as
-their first argument, and their old kwargs signatures still work but
-emit :class:`DeprecationWarning`.
+``smarco``, ``xeon`` and ``sched`` requests run as a
+:class:`~repro.chip.session.RunSession` finished to its horizon, the
+object the warm-started sweep and the checkpoint commands drive too, and
+``compare`` is two such sessions plus the power bill.  Every run kind
+builds its outcome with :func:`build_outcome`, so a cold run and a warm
+run of one request carry the same fields.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
-from ..config import AuditConfig, SmarCoConfig, XeonConfig, smarco_default
+from ..config import AuditConfig, smarco_default
 from ..core.ports import FixedLatencyPort
 from ..core.tcg import TCGCore
 from ..errors import ConfigError
@@ -34,8 +35,8 @@ from ..sim.rng import RngTree
 from ..sim.stats import StatsRegistry
 from ..workloads.base import get_profile
 from .results import DictResult, result_from_dict
-from .smarco import SmarCoChip, SmarcoRunResult
-from .xeon import XeonRunResult, XeonSystem
+from .smarco import SmarcoRunResult
+from .xeon import XeonRunResult
 
 __all__ = [
     "TcgRunResult",
@@ -43,9 +44,6 @@ __all__ = [
     "RunOutcome",
     "execute",
     "run_tcg_rig",
-    "run_smarco",
-    "run_xeon",
-    "compare",
 ]
 
 
@@ -194,22 +192,37 @@ def execute(request: RunRequest,
     no simulation events — results match the unaudited run exactly — and
     attaches the auditor's report as ``RunOutcome.audit``.
     """
+    from .session import SESSION_KINDS, RunSession
+
+    if request.kind in SESSION_KINDS:
+        return RunSession(request, _make_auditor(audit)).finish()
     request.validate()
     executors = {
         "tcg": _execute_tcg,
-        "smarco": _execute_smarco,
-        "xeon": _execute_xeon,
         "compare": _execute_compare,
-        "sched": _execute_sched,
         "traffic": _execute_traffic,
     }
     try:
         executor = executors[request.kind]
     except KeyError:  # pragma: no cover
         raise ConfigError(f"unknown run kind {request.kind!r}") from None
-    outcome = executor(request, audit)
-    # observation-only: billed from the finished run's stats, never fed
-    # back, so results and golden digests are untouched
+    return executor(request, audit)
+
+
+def build_outcome(request: RunRequest, result: DictResult,
+                  stats: Dict[str, float],
+                  components: Optional[Dict[str, Any]] = None,
+                  audit: Optional[Dict[str, Any]] = None) -> RunOutcome:
+    """The outcome of a finished run, with its energy report attached.
+
+    Every run kind finishes through here, so a run finished by
+    :func:`execute` and one finished by a restored session carry the
+    same fields.  The energy report is observation-only: billed from the
+    finished run's stats and never fed back, so results and golden
+    digests are untouched.
+    """
+    outcome = RunOutcome(request=request, result=result, stats=stats,
+                         components=components or {}, audit=audit)
     energy_report = build_energy_report(outcome)
     if energy_report is not None:
         outcome.energy = energy_report.to_dict()
@@ -267,57 +280,10 @@ def run_tcg_rig(request: RunRequest,
         cycles=core.elapsed,
         instructions=core.instructions,
     )
-    outcome = RunOutcome(
-        request=request, result=result, stats=registry.dump(),
-        components=core.tree_dict(),
-        audit=auditor.summary() if auditor is not None else None)
+    outcome = build_outcome(
+        request, result, registry.dump(), core.tree_dict(),
+        auditor.summary() if auditor is not None else None)
     return outcome, sim
-
-
-def _execute_smarco(request: RunRequest,
-                    audit: Optional[AuditConfig] = None) -> RunOutcome:
-    profile = get_profile(request.workload)
-    auditor = _make_auditor(audit)
-    chip = SmarCoChip(request.smarco_config, seed=request.seed,
-                      core_policy=request.core_policy,
-                      realtime_fraction=request.realtime_fraction)
-    if auditor is not None:
-        auditor.install(chip)
-    chip.load_profile(profile, request.threads_per_core,
-                      request.instrs_per_thread,
-                      total_threads=request.total_threads,
-                      shared_code=request.shared_code)
-    result = chip.run(max_cycles=request.run_cycles)
-    if auditor is not None:
-        # a run cut at its run_cycles horizon still has events queued
-        auditor.end_of_run(chip.sim.now, drained=not chip.sim.pending())
-    return RunOutcome(request=request, result=result,
-                      stats=chip.registry.dump(),
-                      components=chip.tree_dict(),
-                      audit=auditor.summary() if auditor is not None else None)
-
-
-def _execute_xeon(request: RunRequest,
-                  audit: Optional[AuditConfig] = None) -> RunOutcome:
-    profile = get_profile(request.workload)
-    system = XeonSystem(request.xeon_config, seed=request.seed)
-    auditor = _make_auditor(audit)
-    if auditor is not None:
-        # the baseline declares no checkers yet; install() is a no-op walk
-        # and the summary records zero checks
-        auditor.install(system)
-    system.load_profile(profile, request.xeon_threads,
-                        request.xeon_instrs_per_thread,
-                        stagger_creation=request.stagger_creation)
-    system.sim.run(until=request.run_cycles)
-    result = system.collect_result()
-    if auditor is not None:
-        auditor.end_of_run(system.sim.now,
-                           drained=not system.sim.pending())
-    return RunOutcome(request=request, result=result,
-                      stats=system.registry.dump(),
-                      components=system.tree_dict(),
-                      audit=auditor.summary() if auditor is not None else None)
 
 
 def _execute_compare(request: RunRequest,
@@ -329,8 +295,8 @@ def _execute_compare(request: RunRequest,
     is scaled down, with a 0.5 activity floor — the paper's workloads
     keep the chip busy.
     """
-    smarco_outcome = _execute_smarco(replace(request, kind="smarco"), audit)
-    xeon_outcome = _execute_xeon(replace(request, kind="xeon"), audit)
+    smarco_outcome = execute(replace(request, kind="smarco"), audit)
+    xeon_outcome = execute(replace(request, kind="xeon"), audit)
     smarco_result = smarco_outcome.result
     xeon_result = xeon_outcome.result
 
@@ -360,44 +326,11 @@ def _execute_compare(request: RunRequest,
     if smarco_outcome.audit is not None or xeon_outcome.audit is not None:
         combined_audit = {"smarco": smarco_outcome.audit,
                           "xeon": xeon_outcome.audit}
-    return RunOutcome(
-        request=request, result=result, stats=stats,
-        components={"smarco": smarco_outcome.components,
-                    "xeon": xeon_outcome.components},
-        audit=combined_audit,
-    )
-
-
-def _execute_sched(request: RunRequest,
-                   audit: Optional[AuditConfig] = None) -> RunOutcome:
-    """One (policy, scenario) race on the audited scenario testbed."""
-    from ..sched.scenarios import collect_sched_result, prepare_sched_scenario
-
-    registry = StatsRegistry()
-    auditor = _make_auditor(audit)
-    sched_config = (request.smarco_config.scheduler
-                    if request.smarco_config is not None else None)
-    run = prepare_sched_scenario(
-        policy=request.sched_policy,
-        scenario=request.sched_scenario,
-        seed=request.seed,
-        workload=request.workload,
-        tasks=request.sched_tasks,
-        contexts=request.sched_contexts,
-        config=sched_config,
-        registry=registry,
-        auditor=auditor,
-    )
-    if request.run_cycles is not None:
-        # bounded horizon: an audit would flag the deliberately
-        # unfinished tasks, so the audited path requires a full run
-        run.bed.start()
-        run.sim.run(until=request.run_cycles)
-    else:
-        run.bed.run()
-    result = collect_sched_result(run)
-    return RunOutcome(request=request, result=result, stats=registry.dump(),
-                      audit=auditor.summary() if auditor is not None else None)
+    return build_outcome(
+        request, result, stats,
+        {"smarco": smarco_outcome.components,
+         "xeon": xeon_outcome.components},
+        combined_audit)
 
 
 def _execute_traffic(request: RunRequest,
@@ -414,84 +347,4 @@ def _execute_traffic(request: RunRequest,
 
     registry = StatsRegistry()
     result = run_traffic(request, registry=registry)
-    return RunOutcome(request=request, result=result, stats=registry.dump())
-
-
-# -- legacy per-kind helpers (thin shims over execute) -----------------------------
-
-
-def _warn_kwargs(name: str) -> None:
-    warnings.warn(
-        f"{name}(workload, **kwargs) is deprecated; build a "
-        f"repro.exp.RunRequest and pass it as the only argument",
-        DeprecationWarning, stacklevel=3)
-
-
-def run_smarco(
-    workload: Union[RunRequest, str],
-    config: Optional[SmarCoConfig] = None,
-    threads_per_core: int = 8,
-    instrs_per_thread: int = 600,
-    seed: int = 0,
-    core_policy: str = "inpair",
-    realtime_fraction: float = 0.0,
-) -> SmarcoRunResult:
-    """Run a named workload on a SmarCo chip (prefer passing a RunRequest)."""
-    if isinstance(workload, RunRequest):
-        return _execute_smarco(replace(workload, kind="smarco")).result
-    _warn_kwargs("run_smarco")
-    request = RunRequest(
-        kind="smarco", workload=workload, seed=seed, smarco_config=config,
-        threads_per_core=threads_per_core,
-        instrs_per_thread=instrs_per_thread,
-        core_policy=core_policy, realtime_fraction=realtime_fraction,
-    )
-    return _execute_smarco(request).result
-
-
-def run_xeon(
-    workload: Union[RunRequest, str],
-    config: Optional[XeonConfig] = None,
-    n_threads: int = 48,
-    instrs_per_thread: int = 40_000,
-    seed: int = 0,
-    stagger_creation: bool = True,
-) -> XeonRunResult:
-    """Run a named workload on the baseline (prefer passing a RunRequest)."""
-    if isinstance(workload, RunRequest):
-        return _execute_xeon(replace(workload, kind="xeon")).result
-    _warn_kwargs("run_xeon")
-    request = RunRequest(
-        kind="xeon", workload=workload, seed=seed, xeon_config=config,
-        xeon_threads=n_threads, xeon_instrs_per_thread=instrs_per_thread,
-        stagger_creation=stagger_creation,
-    )
-    return _execute_xeon(request).result
-
-
-def compare(
-    workload: Union[RunRequest, str],
-    smarco_config: Optional[SmarCoConfig] = None,
-    xeon_config: Optional[XeonConfig] = None,
-    smarco_threads_per_core: int = 8,
-    smarco_instrs_per_thread: int = 600,
-    xeon_threads: int = 48,
-    xeon_instrs_per_thread: int = 40_000,
-    seed: int = 0,
-    technology_nm: Optional[int] = None,
-    power_config: Optional[SmarCoConfig] = None,
-) -> ComparisonResult:
-    """SmarCo vs Xeon on one workload (prefer passing a RunRequest)."""
-    if isinstance(workload, RunRequest):
-        return _execute_compare(replace(workload, kind="compare")).result
-    _warn_kwargs("compare")
-    request = RunRequest(
-        kind="compare", workload=workload, seed=seed,
-        smarco_config=smarco_config, xeon_config=xeon_config,
-        threads_per_core=smarco_threads_per_core,
-        instrs_per_thread=smarco_instrs_per_thread,
-        xeon_threads=xeon_threads,
-        xeon_instrs_per_thread=xeon_instrs_per_thread,
-        technology_nm=technology_nm, power_config=power_config,
-    )
-    return _execute_compare(request).result
+    return build_outcome(request, result, registry.dump())

@@ -1,23 +1,23 @@
 """Run sessions: build a system, pause it at a cycle, freeze it, resume it.
 
-A :class:`RunSession` is the stateful counterpart of the one-shot
-:func:`repro.chip.run.execute`: it builds the system a
-:class:`~repro.exp.request.RunRequest` describes, can simulate to an
-arbitrary cycle horizon (``run_to``), capture a versioned
-:class:`~repro.sim.checkpoint.Checkpoint` of everything live (kernel
-queues, component state, RNG streams, stats, id counters), restore one
-into a freshly rebuilt system, and finish the run into the same
-:class:`~repro.chip.run.RunOutcome` the one-shot path produces.
+A :class:`RunSession` builds the system a
+:class:`~repro.exp.request.RunRequest` describes and finishes it into a
+:class:`~repro.chip.run.RunOutcome`.  :func:`repro.chip.run.execute`
+runs one straight to its horizon; the warm-started sweep runner and the
+``checkpoint`` CLI subcommands also pause it at an arbitrary cycle
+(``run_to``), capture a versioned :class:`~repro.sim.checkpoint.Checkpoint`
+of everything live (kernel queues, component state, RNG streams, stats,
+id counters) and restore one into a freshly rebuilt system.  The runner
+drives one session per warm group through its horizons and finishes each
+earlier horizon on a copy (:meth:`RunSession.finish_copy`).
 
 The contract is bit-identical resume: ``build -> run_to(T) -> save;
-restore -> finish`` returns exactly the outcome of ``build -> finish``.
-The warm-started sweep runner and the ``checkpoint`` CLI subcommands are
-both thin layers over this class: the runner drives one session per warm
-group through its horizons and finishes each earlier horizon on a copy
-(:meth:`RunSession.finish_copy`).
+restore -> finish`` returns exactly the outcome of ``build -> finish``,
+energy report included.  A session built with an auditor installs it
+before the workload is loaded; a restored session is unaudited.
 
-Checkpointable kinds are ``smarco``, ``xeon`` and ``sched`` — the three
-run kinds with a single long-lived simulator.  (``tcg`` is a microbench
+Session kinds are ``smarco``, ``xeon`` and ``sched`` — the three run
+kinds with a single long-lived simulator.  (``tcg`` is a microbench
 that finishes in milliseconds; ``compare`` is two sessions back to back.)
 """
 
@@ -39,7 +39,7 @@ from ..sim.checkpoint import (
     save_checkpoint,
 )
 from ..workloads.base import get_profile
-from .run import RunOutcome
+from .run import RunOutcome, build_outcome
 from .smarco import SmarCoChip
 from .xeon import XeonSystem
 
@@ -70,7 +70,7 @@ def _set_id_state(ids: Dict[str, int]) -> None:
 class RunSession:
     """One buildable, pausable, freezable simulation run."""
 
-    def __init__(self, request: RunRequest) -> None:
+    def __init__(self, request: RunRequest, auditor=None) -> None:
         if request.kind not in SESSION_KINDS:
             raise ConfigError(
                 f"run kind {request.kind!r} does not support sessions; "
@@ -78,12 +78,17 @@ class RunSession:
         request.validate()
         self.request = request
         self.kind = request.kind
+        #: the invariant auditor (:class:`~repro.sim.invariants.Auditor`)
+        #: watching this run, or None
+        self.auditor = auditor
         self._result = None
         if self.kind == "smarco":
             profile = get_profile(request.workload)
             chip = SmarCoChip(request.smarco_config, seed=request.seed,
                               core_policy=request.core_policy,
                               realtime_fraction=request.realtime_fraction)
+            if auditor is not None:
+                auditor.install(chip)
             chip.load_profile(profile, request.threads_per_core,
                               request.instrs_per_thread,
                               total_threads=request.total_threads,
@@ -96,6 +101,10 @@ class RunSession:
         elif self.kind == "xeon":
             profile = get_profile(request.workload)
             system = XeonSystem(request.xeon_config, seed=request.seed)
+            if auditor is not None:
+                # the baseline declares no checkers yet; install() is a
+                # no-op walk and the summary records zero checks
+                auditor.install(system)
             system.load_profile(profile, request.xeon_threads,
                                 request.xeon_instrs_per_thread,
                                 stagger_creation=request.stagger_creation)
@@ -117,6 +126,7 @@ class RunSession:
                 tasks=request.sched_tasks,
                 contexts=request.sched_contexts,
                 config=sched_config,
+                auditor=auditor,
             )
             self.system = run
             self.sim = run.sim
@@ -148,30 +158,35 @@ class RunSession:
         if self._result is not None:
             return self._result
         horizon = self.request.run_cycles
+        components: Dict[str, Any] = {}
         if self.kind == "smarco":
             result = self.system.run(max_cycles=horizon)
-            outcome = RunOutcome(request=self.request, result=result,
-                                 stats=self.system.registry.dump(),
-                                 components=self.system.tree_dict())
+            components = self.system.tree_dict()
         elif self.kind == "xeon":
             self.sim.run(until=horizon)
             result = self.system.collect_result()
-            outcome = RunOutcome(request=self.request, result=result,
-                                 stats=self.system.registry.dump(),
-                                 components=self.system.tree_dict())
+            components = self.system.tree_dict()
         else:
             from ..sched.scenarios import collect_sched_result
 
             if horizon is not None:
+                # bounded horizon: the testbed's end-of-run audit would
+                # flag the deliberately unfinished tasks, so only a full
+                # run takes it
                 self.system.bed.start()
                 self.sim.run(until=horizon)
             else:
                 self.system.bed.run()
             result = collect_sched_result(self.system)
-            outcome = RunOutcome(request=self.request, result=result,
-                                 stats=self.system.registry.dump())
-        self._result = outcome
-        return outcome
+        audit = None
+        if self.auditor is not None:
+            # a run cut at its run_cycles horizon still has events queued
+            self.auditor.end_of_run(self.now, drained=not self.sim.pending())
+            audit = self.auditor.summary()
+        self._result = build_outcome(self.request, result,
+                                     self.system.registry.dump(),
+                                     components, audit)
+        return self._result
 
     # -- checkpointing -------------------------------------------------------
 

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .analysis import render_result, render_table
-from .chip.run import execute, run_xeon
+from .chip.run import execute
 from .config import AuditConfig, smarco_scaled
 from .exp import ExperimentSpec, RunRequest
 from .power import NODES, AreaModel, PowerModel, dvfs_summaries, list_dvfs
@@ -456,10 +456,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_xeon(args: argparse.Namespace) -> int:
-    result = run_xeon(RunRequest(
+    result = execute(RunRequest(
         kind="xeon", workload=args.workload, seed=args.seed,
         xeon_threads=args.threads, xeon_instrs_per_thread=args.instrs,
-    ))
+    )).result
     print(render_table(["metric", "value"], [
         ["threads", result.threads],
         ["cycles", f"{result.cycles:,.0f}"],

@@ -27,7 +27,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..chip.run import RunOutcome, execute
 from ..chip.session import RunSession
 from ..sim.checkpoint import save_checkpoint
-from ..sim.stats import nest_flat_stats
+# unused here since records stopped storing a nested stats copy, but the
+# outside-in benchmark's tracer (bench/trace.py) still patches this name
+from ..sim.stats import nest_flat_stats  # noqa: F401
 from .cache import ResultCache, code_version, request_key
 from .request import RunRequest, request_from_snapshot
 from .spec import ExperimentSpec, SweepPoint
@@ -100,7 +102,9 @@ def _run_chain(requests: List[RunRequest],
     Points without a horizon (``None`` = run to completion) branch off
     first, at the warm-up checkpoint: a run that drains before a later
     horizon has its clock advanced to that horizon, so completion can
-    not be reached from there.
+    not be reached from there.  When the run drained inside the warm-up
+    itself, the checkpoint's clock already stands at ``warm_cycles``, so
+    those points run on a fresh session from cycle 0.
 
     A point's wall time runs from the end of the point before it, so the
     first one also carries the restore or the warm-up prefix.
@@ -113,7 +117,9 @@ def _run_chain(requests: List[RunRequest],
     out: List[Dict[str, Any]] = [{}] * len(requests)
     for i in order:
         request = requests[i]
-        if i == order[-1]:
+        if request.run_cycles is None and not session.sim.pending():
+            outcome = RunSession(request).finish()
+        elif i == order[-1]:
             outcome = session.finish()
         else:
             if request.run_cycles is not None:
@@ -295,7 +301,6 @@ class Runner:
             request=outcome_dict["request"],
             result=outcome_dict["result"],
             stats=outcome_dict["stats"],
-            stats_tree=nest_flat_stats(outcome_dict["stats"]),
             components=outcome_dict.get("components", {}),
             audit=outcome_dict.get("audit"),
             energy=outcome_dict.get("energy"),

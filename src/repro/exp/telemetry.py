@@ -39,8 +39,6 @@ class RunRecord:
     request: Dict[str, Any]     # RunRequest.snapshot()
     result: Dict[str, Any]      # result.to_dict()
     stats: Dict[str, float]     # StatsRegistry.dump()
-    #: the flat dump nested by dotted component path (chip → noc → ...)
-    stats_tree: Dict[str, Any] = field(default_factory=dict)
     #: the simulated system's component tree (Component.tree_dict())
     components: Dict[str, Any] = field(default_factory=dict)
     #: invariant audit report (Auditor.summary()); None for unaudited runs

@@ -19,7 +19,6 @@ from .policies import (
     DeadlineScheduler,
     FifoScheduler,
     LaxityScheduler,
-    make_scheduler,
 )
 from .policy import (
     SchedulerPolicy,
@@ -65,7 +64,6 @@ __all__ = [
     "CriticalityScheduler",
     "task_criticality",
     "criticality_from_breakdown",
-    "make_scheduler",
     # testbeds and scenarios
     "MainScheduler",
     "SchedulerTestbed",

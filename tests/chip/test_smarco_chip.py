@@ -3,8 +3,9 @@
 import pytest
 
 from repro.config import MACTConfig, RingConfig, SmarCoConfig, smarco_scaled
-from repro.chip import SmarCoChip, run_smarco
+from repro.chip import SmarCoChip, execute
 from repro.errors import ConfigError
+from repro.exp import RunRequest
 from repro.workloads import get_profile
 
 
@@ -99,8 +100,10 @@ class TestExecution:
         assert result.cores_done < result.total_cores
 
     def test_result_metrics_sane(self):
-        result = run_smarco("kmeans", smarco_scaled(2, 4),
-                            threads_per_core=4, instrs_per_thread=150)
+        result = execute(RunRequest(
+            kind="smarco", workload="kmeans",
+            smarco_config=smarco_scaled(2, 4), threads_per_core=4,
+            instrs_per_thread=150)).result
         assert 0 < result.ipc
         assert 0 < result.utilization <= 1
         assert result.throughput_ips == pytest.approx(

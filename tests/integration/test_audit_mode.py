@@ -9,10 +9,12 @@ The two contracts this file pins down:
 """
 
 import dataclasses
+import json
 
 import pytest
 
 from repro.chip.run import execute
+from repro.chip.session import RunSession
 from repro.config import AUDIT_ENV, AuditConfig, smarco_scaled
 from repro.errors import AuditError
 from repro.exp import RunRequest
@@ -74,6 +76,29 @@ class TestAuditedRunsAreClean:
         outcome = execute(request, audit=AUDIT_ON)
         assert outcome.audit["smarco"]["clean"]
         assert outcome.audit["xeon"]["clean"]
+
+
+class TestAuditedSession:
+    """A session built with an auditor finishes into the audited
+    ``execute`` outcome, check counts included."""
+
+    @pytest.mark.parametrize("request_", [
+        smarco_request(),
+        RunRequest(kind="xeon", workload="wordcount", seed=2,
+                   xeon_threads=4, xeon_instrs_per_thread=2_000),
+        RunRequest(kind="sched", sched_policy="laxity",
+                   sched_scenario="deadline-storm", sched_tasks=12,
+                   sched_contexts=4, seed=1),
+    ], ids=["smarco", "xeon", "sched"])
+    def test_session_equals_audited_execute(self, request_):
+        from repro.sim import Auditor
+
+        session = RunSession(request_, Auditor(AUDIT_ON)).finish()
+        cold = execute(request_, audit=AUDIT_ON)
+        assert session.audit["checks"] == cold.audit["checks"]
+        assert session.audit["clean"]
+        assert (json.dumps(session.to_dict(), sort_keys=True)
+                == json.dumps(cold.to_dict(), sort_keys=True))
 
 
 class TestHorizonRuns:

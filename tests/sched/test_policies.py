@@ -11,7 +11,7 @@ from repro.sched import (
     SchedulerTestbed,
     Task,
     TaskPriority,
-    make_scheduler,
+    create_policy,
 )
 from repro.sim import RngTree, Simulator
 
@@ -95,17 +95,13 @@ class TestDeadlineScheduler:
 
 class TestFactory:
     def test_make_each_policy(self):
-        with pytest.warns(DeprecationWarning):
-            assert isinstance(make_scheduler("laxity"), LaxityScheduler)
-        with pytest.warns(DeprecationWarning):
-            assert isinstance(make_scheduler("deadline"), DeadlineScheduler)
-        with pytest.warns(DeprecationWarning):
-            assert isinstance(make_scheduler("fifo"), FifoScheduler)
+        assert isinstance(create_policy("laxity"), LaxityScheduler)
+        assert isinstance(create_policy("deadline"), DeadlineScheduler)
+        assert isinstance(create_policy("fifo"), FifoScheduler)
 
     def test_unknown_policy(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SchedulerError):
-                make_scheduler("lottery")
+        with pytest.raises(SchedulerError):
+            create_policy("lottery")
 
 
 class TestMainScheduler:

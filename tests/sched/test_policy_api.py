@@ -24,7 +24,6 @@ from repro.sched import (
     create_policy,
     get_policy,
     list_policies,
-    make_scheduler,
     policy_summaries,
     run_sched_scenario,
 )
@@ -92,11 +91,6 @@ class TestRegistry:
         SchedulerConfig(policy="smt-balance").validate()
         with pytest.raises(ConfigError, match="unknown scheduler policy"):
             SchedulerConfig(policy="random").validate()
-
-    def test_make_scheduler_deprecated_but_working(self):
-        with pytest.warns(DeprecationWarning, match="make_scheduler"):
-            sched = make_scheduler("laxity")
-        assert isinstance(sched, LaxityScheduler)
 
 
 class TestConformance:
