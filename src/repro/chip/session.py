@@ -9,7 +9,8 @@ runs one straight to its horizon; the warm-started sweep runner and the
 of everything live (kernel queues, component state, RNG streams, stats,
 id counters) and restore one into a freshly rebuilt system.  The runner
 drives one session per warm group through its horizons and finishes each
-earlier horizon on a copy (:meth:`RunSession.finish_copy`).
+earlier horizon on a copy (:meth:`RunSession.finish_copy`): a forked
+child process where the platform allows, else a restored checkpoint.
 
 The contract is bit-identical resume: ``build -> run_to(T) -> save;
 restore -> finish`` returns exactly the outcome of ``build -> finish``,
@@ -23,10 +24,13 @@ that finishes in milliseconds; ``compare`` is two sessions back to back.)
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from ..errors import CheckpointError, ConfigError
+from ..errors import CheckpointError, ConfigError, SimulationError
 from ..exp.request import RunRequest, request_from_snapshot
 from ..mem.request import request_id_state, set_request_id_state
 from ..noc.packet import packet_id_state, set_packet_id_state
@@ -222,16 +226,69 @@ class RunSession:
     def finish_copy(self, request: RunRequest) -> RunOutcome:
         """Finish a copy of this session built from ``request``.
 
-        The copy is restored from an in-memory checkpoint of the current
-        cycle and run to its own horizon; this session is left where it
-        is, module-level id counters included, so it goes on exactly as
-        the straight run would.
+        ``request`` may differ from the session's own only in warm axes,
+        which a session reads at finish.  The copy runs to its own
+        horizon; this session is left where it is, module-level id
+        counters included, so it goes on exactly as the straight run
+        would.  Where the process can fork (see :meth:`_forks_copies`)
+        the copy is a child process that finishes this session and
+        pipes the outcome back; elsewhere it is restored from an
+        in-memory checkpoint of the current cycle.
         """
+        if not self._forks_copies():
+            return self._finish_restored_copy(request)
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:  # the child: finish, report, never return
+            try:
+                os.close(read_fd)
+                self.request = request
+                try:
+                    data = pickle.dumps((True, self.finish().to_dict()),
+                                        pickle.HIGHEST_PROTOCOL)
+                except BaseException as exc:  # re-raised in the parent
+                    # an exception that cannot be pickled sends nothing
+                    data = pickle.dumps((False, exc))
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pipe.write(data)
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        try:
+            with os.fdopen(read_fd, "rb") as pipe:
+                data = pipe.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+        if not data:
+            raise SimulationError(
+                f"copy process {pid} exited without an outcome "
+                f"(wait status {status})")
+        ok, payload = pickle.loads(data)
+        if not ok:
+            raise payload
+        return RunOutcome.from_dict(payload)
+
+    def _forks_copies(self) -> bool:
+        """Whether :meth:`finish_copy` forks: the platform has ``fork``,
+        the process runs one thread, and no auditor watches this session
+        (its copies stay unaudited, as every restored session is)."""
+        return (hasattr(os, "fork") and threading.active_count() == 1
+                and self.auditor is None)
+
+    def _finish_restored_copy(self, request: RunRequest) -> RunOutcome:
+        """The checkpoint copy: restore a fresh, unaudited session from
+        an in-memory checkpoint and finish it."""
         ids = _id_state()
-        outcome = RunSession.restore(self.checkpoint(),
-                                     request=request).finish()
-        _set_id_state(ids)
-        return outcome
+        try:
+            return RunSession.restore(self.checkpoint(),
+                                      request=request).finish()
+        finally:
+            _set_id_state(ids)
 
     def save(self, path: Union[str, Path]) -> Path:
         """Checkpoint and write to ``path`` (gzip when it ends in .gz)."""

@@ -7,7 +7,9 @@ fans the remaining points out across ``workers`` processes (plain
 and writes one telemetry record per point under ``<base_dir>/runs/``.
 In a warm-started sweep, each warm group (the points sharing one
 post-warmup checkpoint) is one unit of work: a single session that one
-worker drives through the group's horizons in ascending order.
+worker drives through the group's horizons in ascending order.  Traffic
+points that share one chip calibration are likewise one unit, so the
+calibration run happens once per sweep.
 
 Determinism: every simulation is fully seeded by its request, so a
 parallel sweep returns results bit-identical to a serial sweep of the
@@ -20,6 +22,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -43,9 +46,9 @@ WORKERS_ENV = "REPRO_WORKERS"
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Explicit argument wins; else ``$REPRO_WORKERS``; else serial.
 
-    A value that does not parse as an integer is *reported*, not
-    silently coerced: ``REPRO_WORKERS=two`` used to mean 1 with no hint
-    of the typo.
+    A value that is not a positive integer is *reported*, not silently
+    coerced: ``REPRO_WORKERS=two`` or ``REPRO_WORKERS=0`` used to mean 1
+    with no hint of the typo.
     """
     if workers is None:
         raw = os.environ.get(WORKERS_ENV, "").strip()
@@ -54,23 +57,28 @@ def resolve_workers(workers: Optional[int] = None) -> int:
             try:
                 workers = int(raw)
             except ValueError:
-                import warnings
+                workers = 0
+            if workers < 1:
                 warnings.warn(
-                    f"ignoring invalid {WORKERS_ENV}={raw!r} (expected an "
-                    "integer); using 1", RuntimeWarning, stacklevel=2)
+                    f"ignoring invalid {WORKERS_ENV}={raw!r} (expected a "
+                    "positive integer); using 1", RuntimeWarning,
+                    stacklevel=2)
+                workers = 1
     return max(1, workers)
 
 
 #: One unit of pool work: the points it covers and, for a warm group, the
-#: path of the group's post-warmup checkpoint (``None`` for a cold point).
+#: path of the group's post-warmup checkpoint (``None`` for a cold unit).
 _Unit = Tuple[List[SweepPoint], Optional[str]]
 
 
 def _execute_unit(unit: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Worker entry point: simulate one cold point or one warm chain.
+    """Worker entry point: simulate one cold unit or one warm chain.
 
     A unit is a list of request snapshots plus, for a warm group, the
-    path of its shared post-warmup checkpoint.  Returns one
+    path of its shared post-warmup checkpoint.  The points of a cold
+    unit run one after another in this process, so those that share a
+    traffic calibration share its per-process memo.  Returns one
     ``{"outcome", "wall_time_s", "worker"}`` dict per request, in the
     unit's order.
     """
@@ -79,10 +87,12 @@ def _execute_unit(unit: Dict[str, Any]) -> List[Dict[str, Any]]:
     if warm:
         done = _run_chain(requests, Path(warm))
     else:
-        start = time.perf_counter()
-        outcome = execute(requests[0]).to_dict()
-        done = [{"outcome": outcome,
-                 "wall_time_s": time.perf_counter() - start}]
+        done = []
+        for request in requests:
+            start = time.perf_counter()
+            outcome = execute(request).to_dict()
+            done.append({"outcome": outcome,
+                         "wall_time_s": time.perf_counter() - start})
     worker = f"pid{os.getpid()}"
     return [dict(item, worker=worker) for item in done]
 
@@ -92,10 +102,11 @@ def _run_chain(requests: List[RunRequest],
     """Simulate one warm group as one chain of ascending horizons.
 
     The session starts from the group's post-warmup checkpoint: restored
-    from ``warm`` when an earlier sweep left it, else simulated here and
-    saved there.  Each point but the last runs the session to its
-    ``run_cycles`` and finishes an in-memory copy built from its own
-    request; the last point finishes the session itself.  Sound because
+    from ``warm`` when an earlier sweep left it, else simulated here,
+    saved there, and continued.  Each point but the last runs the
+    session to its ``run_cycles`` and finishes a copy under its own
+    request (:meth:`~repro.chip.session.RunSession.finish_copy`); the
+    last point finishes the session itself.  Sound because
     every point of a group follows one trajectory: warm axes never change
     the simulated run.
 
@@ -133,15 +144,20 @@ def _run_chain(requests: List[RunRequest],
 
 
 def _warm_session(request: RunRequest, warm: Path) -> RunSession:
-    """A session for ``request`` at its group's post-warmup checkpoint."""
+    """A session for ``request`` at its group's post-warmup checkpoint.
+
+    Restored from ``warm`` when the file exists.  Otherwise the warm-up
+    is simulated on a session of the group's warm base, saved to
+    ``warm``, and that same session goes on under ``request``: the two
+    requests differ only in warm axes, which a session reads at finish.
+    """
     if warm.is_file():
         return RunSession.restore(warm, request=request)
-    base = request.warm_base()
-    prefix = RunSession(base)
-    prefix.run_to(base.warm_cycles)
-    ckpt = prefix.checkpoint()
-    save_checkpoint(ckpt, warm)
-    return RunSession.restore(ckpt, request=request)
+    session = RunSession(request.warm_base())
+    session.run_to(request.warm_cycles)
+    save_checkpoint(session.checkpoint(), warm)
+    session.request = request
+    return session
 
 
 @dataclass
@@ -250,25 +266,37 @@ class Runner:
                warm_start: bool) -> List[_Unit]:
         """Split pending points into units of work for the pool.
 
-        Each cold point is a unit of its own.  With ``warm_start``, the
-        points with ``warm_cycles > 0`` are grouped by their
-        :meth:`~repro.exp.request.RunRequest.warm_base`, and each group is
-        one unit: a chain over one post-warmup checkpoint, kept at
-        ``<base_dir>/cache/warm/<key>.ckpt.gz`` for later sweeps.
+        With ``warm_start``, the points with ``warm_cycles > 0`` are
+        grouped by their :meth:`~repro.exp.request.RunRequest.warm_base`,
+        and each group is one unit: a chain over one post-warmup
+        checkpoint, kept at ``<base_dir>/cache/warm/<key>.ckpt.gz`` for
+        later sweeps.  The other traffic points are grouped by their
+        :func:`~repro.traffic.cluster.calibration_request`, and each group
+        is one cold unit.  Every other point is a unit of its own.  A
+        group runs on one worker, so a sweep of one group does not
+        spread across the pool.
         """
         units: List[_Unit] = []
-        groups: Dict[str, List[SweepPoint]] = {}
+        groups: Dict[Tuple[str, str], List[SweepPoint]] = {}
         for point in pending:
             request = point.request
-            if not warm_start or request.warm_cycles <= 0:
+            if warm_start and request.warm_cycles > 0:
+                key = request_key(request.warm_base(), self.version)
+                group, warm = ("warm", key), str(
+                    self.warm_dir / f"{key}.ckpt.gz")
+            elif request.kind == "traffic":
+                # imported here: a sweep without traffic never loads it
+                from ..traffic.cluster import calibration_request
+
+                group, warm = ("calibration",
+                               calibration_request(request)[1]), None
+            else:
                 units.append(([point], None))
                 continue
-            wkey = request_key(request.warm_base(), self.version)
-            if wkey not in groups:
-                groups[wkey] = []
-                units.append((groups[wkey],
-                              str(self.warm_dir / f"{wkey}.ckpt.gz")))
-            groups[wkey].append(point)
+            if group not in groups:
+                groups[group] = []
+                units.append((groups[group], warm))
+            groups[group].append(point)
         return units
 
     def _execute(self, units: List[_Unit]) -> List[List[Dict[str, Any]]]:

@@ -61,6 +61,7 @@ __all__ = [
     "ChipServer",
     "TrafficRunResult",
     "calibrate_chip",
+    "calibration_request",
     "synthetic_calibration",
     "run_traffic",
 ]
@@ -214,18 +215,18 @@ def _jitter_from_stats(stats: Dict[str, float]
 _CALIBRATIONS: Dict[str, ChipCalibration] = {}
 
 
-def calibrate_chip(request: Any) -> ChipCalibration:
-    """Measure a chip service model by running the real chip once.
+def calibration_request(request: Any) -> Tuple[Any, str]:
+    """The chip run that calibrates traffic ``request``, and its key.
 
-    ``request`` is the traffic :class:`~repro.exp.RunRequest`; the
-    calibration run reuses its workload, seed, chip config and
+    The run reuses the request's workload, seed, chip config and
     thread/instruction budgets, with hop-trace sampling forced to 1.0 so
     the jitter distribution has the full per-request latency evidence.
-    Memoised per process on the calibration request snapshot.
+    Every ``traffic_*`` axis is reset to its default, so sweep points
+    that vary only in arrival/balancer/load/... share one key: one memo
+    entry here and one unit of work in the sweep runner.
     """
     import dataclasses
 
-    from ..chip.run import execute
     from ..config import smarco_scaled
     from ..exp.cache import canonical_json
 
@@ -234,21 +235,31 @@ def calibrate_chip(request: Any) -> ChipCalibration:
         config = smarco_scaled(2, 4)
     if not config.trace_sample_rate:
         config = dataclasses.replace(config, trace_sample_rate=1.0)
-    # reset every traffic_* axis to its default so sweep points that vary
-    # only in arrival/balancer/load/... share one calibration (and one
-    # memo entry)
     traffic_defaults = {
         f.name: f.default for f in dataclasses.fields(type(request))
         if f.name.startswith("traffic_")}
     calib_request = request.replace(
         kind="smarco", smarco_config=config, run_cycles=None,
         warm_cycles=0.0, warm_axes=(), **traffic_defaults)
-    key = canonical_json(calib_request.snapshot())
+    return calib_request, canonical_json(calib_request.snapshot())
+
+
+def calibrate_chip(request: Any) -> ChipCalibration:
+    """Measure a chip service model by running the real chip once.
+
+    ``request`` is the traffic :class:`~repro.exp.RunRequest`; the
+    calibration run is :func:`calibration_request`'s.  Memoised per
+    process on its key.
+    """
+    from ..chip.run import execute
+
+    calib_request, key = calibration_request(request)
     cached = _CALIBRATIONS.get(key)
     if cached is not None:
         return cached
     outcome = execute(calib_request)
     result = outcome.result
+    config = calib_request.smarco_config
     contexts = (config.sub_rings * config.cores_per_sub_ring
                 * request.threads_per_core)
     if not result.instructions:

@@ -114,3 +114,11 @@ class TestWorkerResolution:
         monkeypatch.setenv("REPRO_WORKERS", "many")
         with pytest.warns(RuntimeWarning, match="REPRO_WORKERS='many'"):
             assert resolve_workers(None) == 1
+
+    @pytest.mark.parametrize("raw", ["0", "-2"])
+    def test_non_positive_env_is_serial_and_warns(self, raw, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", raw)
+        with pytest.warns(RuntimeWarning,
+                          match=f"REPRO_WORKERS='{raw}'") as seen:
+            assert resolve_workers(None) == 1
+        assert len(seen) == 1

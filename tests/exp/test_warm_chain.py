@@ -2,20 +2,22 @@
 
 A warm-started sweep runs each warm group as one chain: one session
 walks the group's horizons in ascending order and finishes every
-earlier horizon on an in-memory copy.  Seeded draws over run kinds,
-horizon sets (unsorted, with duplicates and ``None``), an
-observation-only second warm axis and worker counts must give, point
+earlier horizon on a copy (a forked child where the process can fork,
+else a session restored from an in-memory checkpoint).  Seeded draws
+over run kinds, horizon sets (unsorted, with duplicates and ``None``),
+an observation-only second warm axis and worker counts must give, point
 for point, the outcome of a cold ``execute`` of the same request: the
 same digest and the same serialised outcome, energy report included.
 """
 
 import json
+import os
 import random
 
 import pytest
 
 from repro.chip.run import execute
-from repro.chip.session import RunSession
+from repro.chip.session import RunSession, _id_state
 from repro.config import AuditConfig, smarco_scaled
 from repro.errors import ConfigError
 from repro.exp import ExperimentSpec, RunRequest
@@ -150,16 +152,51 @@ def test_draws_cover_the_contract():
         assert horizons != sorted(horizons, key=lambda h: h or float("inf"))
 
 
-def test_finish_copy_leaves_the_session_untouched():
-    from repro.chip.session import _id_state
+@pytest.fixture(params=["fork", "checkpoint"])
+def copy_path(request, monkeypatch):
+    """Which way ``finish_copy`` copies: forced to the checkpoint copy,
+    or left to fork."""
+    if request.param == "checkpoint":
+        monkeypatch.setattr(RunSession, "_forks_copies", lambda self: False)
+    elif not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    return request.param
 
+
+def _paused_session():
     request = KINDS["smarco-kmp"][0].replace(seed=4)
     session = RunSession(request)
     session.run_to(700.0)
+    return request, session
+
+
+def test_finish_copy_leaves_the_session_untouched(copy_path):
+    request, session = _paused_session()
+    assert session._forks_copies() == (copy_path == "fork")
     ids = _id_state()
     copy = session.finish_copy(request.replace(run_cycles=900.0))
     assert copy.result.cycles == 900.0
     assert session.now == 700.0 and _id_state() == ids
+    assert _dumps(copy) == _dumps(execute(
+        request.replace(run_cycles=900.0), AuditConfig(enabled=False)))
+    assert result_digest(session.finish()) == result_digest(
+        execute(request))
+
+
+def test_failed_copy_raises_in_parent(copy_path, monkeypatch):
+    request, session = _paused_session()
+    ids = _id_state()
+
+    def broken(*args, **kwargs):
+        raise OverflowError("copy failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.chip.session.build_outcome", broken)
+        with pytest.raises(OverflowError, match="copy failed"):
+            session.finish_copy(request.replace(run_cycles=900.0))
+    assert session.now == 700.0 and _id_state() == ids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     assert result_digest(session.finish()) == result_digest(
         execute(request))
 

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.chip.run import execute
 from repro.config import smarco_scaled
 from repro.errors import ConfigError
 from repro.exp import ExperimentSpec, RunRequest, Runner
 from repro.exp.cache import request_key
 from repro.exp.request import request_from_snapshot
+from repro.perf.kernels import result_digest
 
 
 def _request(**overrides):
@@ -82,3 +84,33 @@ class TestSweep:
         calm, slammed = sorted(sweep.outcomes,
                                key=lambda o: o.result.load)
         assert slammed.result.mean_wait > calm.result.mean_wait
+
+
+class TestCalibrationGroups:
+    """Traffic points that share a calibration are one unit of work."""
+
+    #: three points on a 2x2 chip, two on a 1x2 chip, one sched point
+    REQUESTS = [
+        _request(traffic_load=0.5),
+        _request(smarco_config=smarco_scaled(1, 2)),
+        RunRequest(kind="sched", sched_tasks=12, sched_contexts=4),
+        _request(traffic_load=0.9, traffic_arrival="bursty"),
+        _request(smarco_config=smarco_scaled(1, 2), traffic_load=0.9),
+        _request(traffic_balancer="round-robin"),
+    ]
+
+    def test_one_unit_per_calibration(self, tmp_path):
+        points = ExperimentSpec.explicit("calib", self.REQUESTS).points()
+        units = Runner(workers=1, base_dir=tmp_path)._units(
+            points, warm_start=True)
+        assert [([p.index for p in members], warm)
+                for members, warm in units] == [
+            ([0, 3, 5], None), ([1, 4], None), ([2], None)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grouped_sweep_equals_cold_runs(self, workers, tmp_path):
+        spec = ExperimentSpec.explicit("calib", self.REQUESTS)
+        sweep = Runner(workers=workers, base_dir=tmp_path).run(spec)
+        assert [r.cache for r in sweep.records] == ["miss"] * 6
+        assert [result_digest(o) for o in sweep.outcomes] == [
+            result_digest(execute(r)) for r in self.REQUESTS]
