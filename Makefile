@@ -9,7 +9,7 @@ REPRO_WORKERS ?= 2
 
 export PYTHONPATH := src
 
-.PHONY: test lint bench-smoke bench bench-check perf perf-smoke ckpt-smoke traffic-smoke energy-smoke sweep-policies docs-cli linkcheck-docs clean
+.PHONY: test lint smoke bench bench-check perf sweep-policies docs-cli linkcheck-docs clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -21,9 +21,6 @@ LINT_PATHS = src/repro/mem src/repro/noc src/repro/sim src/repro/exp
 lint:
 	$(PYTHON) -m ruff check $(LINT_PATHS)
 	$(PYTHON) -m mypy $(LINT_PATHS)
-
-bench-smoke:
-	REPRO_WORKERS=$(REPRO_WORKERS) $(PYTHON) -m pytest -q -p no:cacheprovider benchmarks -k "fig17 or fig19"
 
 bench:
 	REPRO_WORKERS=$(REPRO_WORKERS) $(PYTHON) -m pytest -q -p no:cacheprovider benchmarks
@@ -51,77 +48,54 @@ bench-check:
 perf:
 	$(PYTHON) -m repro.cli perf
 
-# CI gate: tiny suite, compared against the checked-in baseline with a
-# generous threshold (CI machines vary widely; tight thresholds belong
-# on one quiet machine comparing its own records).
+# One end-to-end pass over the CLI surfaces the unit tests do not drive
+# (`make test` already runs every pytest module): the checkpoint
+# save/info/restore lifecycle; one calibrated traffic run and one
+# energy-annotated compare; three cached sweeps (a warm-started sched
+# horizon sweep, an arrival x load traffic sweep, a dvfs x node compare
+# sweep), each run twice so the replay must take every point from the
+# cache; the Fig 17/19 benches; and the tiny perf suite compared against
+# the checked-in baseline with a generous threshold (CI machines vary
+# widely; tight thresholds belong on one quiet machine comparing its own
+# records).
+SMOKE_OUT = results/smoke
+SMOKE_SWEEPS = \
+	"--kind sched --tasks 24 --contexts 8 --sched-policies laxity \
+	 --scenarios deadline-storm --run-cycles 300000 600000 --warm-start \
+	 --warm-cycles 50000 --name warm-smoke" \
+	"--kind traffic --chips 2 --requests 500 --sub-rings 2 --cores 2 \
+	 --arrivals poisson bursty --balancers least-outstanding \
+	 --loads 0.5 0.7 0.9 --name traffic-smoke" \
+	"--kind compare --sub-rings 1 --cores 4 --instrs 80 \
+	 --dvfs-points eco nominal --nodes 32 40 --name energy-smoke"
 PERF_BASELINE ?= benchmarks/results/perf/BENCH_baseline_tiny.json
 PERF_THRESHOLD ?= 75
-perf-smoke:
+smoke:
+	$(PYTHON) -m repro.cli checkpoint save $(SMOKE_OUT)/smoke.ckpt.gz \
+		--cycles 800 --kind smarco --workload kmp --seed 3 \
+		--sub-rings 2 --cores 4 --threads-per-core 4 --instrs 120
+	$(PYTHON) -m repro.cli checkpoint info $(SMOKE_OUT)/smoke.ckpt.gz
+	$(PYTHON) -m repro.cli checkpoint restore $(SMOKE_OUT)/smoke.ckpt.gz
+	$(PYTHON) -m repro.cli traffic kmp --chips 2 --requests 500 \
+		--instrs 200 --load 0.8 --sub-rings 2 --cores 2
+	$(PYTHON) -m repro.cli compare kmp --sub-rings 2 --instrs 150 \
+		--energy --dvfs eco
+	for args in $(SMOKE_SWEEPS); do \
+		REPRO_WORKERS=$(REPRO_WORKERS) $(PYTHON) -m repro.cli sweep kmp \
+			$$args --out $(SMOKE_OUT) || exit 1; \
+		REPRO_WORKERS=$(REPRO_WORKERS) $(PYTHON) -m repro.cli sweep kmp \
+			$$args --out $(SMOKE_OUT) > $(SMOKE_OUT)/replay.out \
+			|| { cat $(SMOKE_OUT)/replay.out; exit 1; }; \
+		cat $(SMOKE_OUT)/replay.out; \
+		grep -Eq '^([0-9]+) points \| \1 cache hits' \
+			$(SMOKE_OUT)/replay.out || exit 1; \
+	done
+	REPRO_WORKERS=$(REPRO_WORKERS) $(PYTHON) -m pytest -q -p no:cacheprovider \
+		benchmarks -k "fig17 or fig19"
 	$(PYTHON) -m repro.cli perf --size tiny --repeat 3 --out results/perf
 	$(PYTHON) -m repro.cli perf --compare $(PERF_BASELINE) \
 		"$$(ls -t results/perf/BENCH_*.json | head -1)" \
 		--threshold $(PERF_THRESHOLD)
-
-# Checkpoint/restore smoke: the bit-identical-resume digest tests for all
-# three session kinds, the warm-sweep and warm-chain equivalence tests,
-# then the CLI checkpoint lifecycle and a warm-started sweep end to end
-# (see docs/checkpointing.md).
-ckpt-smoke:
-	$(PYTHON) -m pytest -q -p no:cacheprovider \
-		tests/chip/test_session_restore.py tests/exp/test_warm_sweep.py \
-		tests/exp/test_warm_chain.py
-	$(PYTHON) -m repro.cli checkpoint save results/ckpt/smoke.ckpt.gz \
-		--cycles 800 --kind smarco --workload kmp --seed 3 \
-		--sub-rings 2 --cores 4 --threads-per-core 4 --instrs 120
-	$(PYTHON) -m repro.cli checkpoint info results/ckpt/smoke.ckpt.gz
-	$(PYTHON) -m repro.cli checkpoint restore results/ckpt/smoke.ckpt.gz
-	REPRO_WORKERS=$(REPRO_WORKERS) $(PYTHON) -m repro.cli \
-		sweep kmp --kind sched --tasks 24 --contexts 8 \
-		--sched-policies laxity --scenarios deadline-storm \
-		--run-cycles 300000 600000 --warm-start --warm-cycles 50000 \
-		--name ckpt-smoke --out results/ckpt
-
-# Open-loop traffic smoke: the shared quantile module and the traffic
-# layer's unit tests, a single calibrated cluster run, then a small
-# arrival x load sweep replayed from the cache to prove the percentile
-# output is deterministic and cache-hit-stable (see docs/traffic.md).
-traffic-smoke:
-	$(PYTHON) -m pytest -q -p no:cacheprovider \
-		tests/analysis/test_quantiles.py tests/traffic
-	$(PYTHON) -m repro.cli traffic kmp --chips 2 --requests 500 \
-		--instrs 200 --load 0.8 --sub-rings 2 --cores 2
-	REPRO_WORKERS=$(REPRO_WORKERS) $(PYTHON) -m repro.cli \
-		sweep kmp --kind traffic --chips 2 --requests 500 \
-		--sub-rings 2 --cores 2 --arrivals poisson bursty \
-		--balancers least-outstanding --loads 0.5 0.7 0.9 \
-		--name traffic-smoke --out results/traffic
-	REPRO_WORKERS=$(REPRO_WORKERS) $(PYTHON) -m repro.cli \
-		sweep kmp --kind traffic --chips 2 --requests 500 \
-		--sub-rings 2 --cores 2 --arrivals poisson bursty \
-		--balancers least-outstanding --loads 0.5 0.7 0.9 \
-		--name traffic-smoke --out results/traffic \
-		| tee results/traffic/replay.out
-	grep -q "6 cache hits" results/traffic/replay.out
-
-# Activity-energy smoke: the power-stack unit tests (Table 1, tech
-# scaling, DVFS, activity accounting + conservation), one energy-
-# annotated compare run, then a tiny dvfs x node efficiency sweep
-# replayed from the cache to prove the energy axes key it correctly
-# (see docs/power.md).
-energy-smoke:
-	$(PYTHON) -m pytest -q -p no:cacheprovider tests/power
-	$(PYTHON) -m repro.cli compare kmp --sub-rings 2 --instrs 150 \
-		--energy --dvfs eco
-	REPRO_WORKERS=$(REPRO_WORKERS) $(PYTHON) -m repro.cli \
-		sweep kmp --kind compare --sub-rings 1 --cores 4 \
-		--instrs 80 --dvfs-points eco nominal --nodes 32 40 \
-		--name energy-smoke --out results/energy
-	REPRO_WORKERS=$(REPRO_WORKERS) $(PYTHON) -m repro.cli \
-		sweep kmp --kind compare --sub-rings 1 --cores 4 \
-		--instrs 80 --dvfs-points eco nominal --nodes 32 40 \
-		--name energy-smoke --out results/energy \
-		| tee results/energy/replay.out
-	grep -q "4 cache hits" results/energy/replay.out
 
 # Scheduler policy zoo smoke: every registered policy x every adversarial
 # scenario through the cached runner with the invariant audit layer armed;

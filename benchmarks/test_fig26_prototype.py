@@ -10,13 +10,10 @@ Its energy-efficiency gain over the Xeon drops to 2.05x-6.84x (average
 import dataclasses
 
 from repro.analysis import geometric_mean, render_table
-from repro.chip import SmarCoChip, execute
+from repro.chip import execute
 from repro.config import smarco_scaled
 from repro.exp import RunRequest
-from repro.power import PowerModel, XeonPowerModel
-from repro.power.report import (SMARCO_UTILIZATION_FLOOR,
-                                XEON_UTILIZATION_FLOOR)
-from repro.workloads import HTC_PROFILES, get_profile
+from repro.workloads import HTC_PROFILES
 
 WORKLOADS = list(HTC_PROFILES)
 PROTO_FREQUENCY_GHZ = 1.0       # 40nm tapeout clocks below the 32nm target
@@ -31,21 +28,16 @@ def _prototype_config():
 
 
 def _gain(workload, cfg, instrs):
-    chip = SmarCoChip(cfg, seed=26)
-    chip.load_profile(get_profile(workload), threads_per_core=8,
-                      instrs_per_thread=instrs)
-    smarco = chip.run()
-    xeon = execute(RunRequest(kind="xeon", workload=workload, seed=26,
-                              xeon_threads=48,
-                              xeon_instrs_per_thread=30_000)).result
-    smarco_watts = PowerModel(cfg).total_watts(
-        utilization=max(SMARCO_UTILIZATION_FLOOR, smarco.utilization),
-        technology_nm=40,
-    ) + BOARD_OVERHEAD_W
-    xeon_watts = XeonPowerModel().total_watts(
-        utilization=max(XEON_UTILIZATION_FLOOR, xeon.utilization))
-    smarco_eff = smarco.throughput_ips / smarco_watts
-    xeon_eff = xeon.throughput_ips / xeon_watts
+    # the compare run bills the prototype itself (power_config), not the
+    # full chip; the card's board overhead comes on top
+    result = execute(RunRequest(
+        kind="compare", workload=workload, seed=26, smarco_config=cfg,
+        power_config=cfg, technology_nm=40, threads_per_core=8,
+        instrs_per_thread=instrs, xeon_threads=48,
+        xeon_instrs_per_thread=30_000)).result
+    smarco_eff = result.smarco.throughput_ips / (result.smarco_watts
+                                                 + BOARD_OVERHEAD_W)
+    xeon_eff = result.xeon.throughput_ips / result.xeon_watts
     return smarco_eff / xeon_eff
 
 

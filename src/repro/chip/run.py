@@ -20,16 +20,14 @@ run of one request carry the same fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from ..config import AuditConfig, smarco_default
+from ..config import AuditConfig
 from ..core.ports import FixedLatencyPort
 from ..core.tcg import TCGCore
 from ..errors import ConfigError
 from ..exp.request import RunRequest
-from ..power.energy import PowerModel, XeonPowerModel
-from ..power.report import (SMARCO_UTILIZATION_FLOOR,
-                            XEON_UTILIZATION_FLOOR, build_energy_report)
+from ..power.report import build_energy_report, smarco_watts, xeon_watts
 from ..sim.engine import Simulator
 from ..sim.rng import RngTree
 from ..sim.stats import StatsRegistry
@@ -43,7 +41,6 @@ __all__ = [
     "ComparisonResult",
     "RunOutcome",
     "execute",
-    "run_tcg_rig",
 ]
 
 
@@ -242,16 +239,7 @@ def _make_auditor(audit: Optional[AuditConfig]):
 def _execute_tcg(request: RunRequest,
                  audit: Optional[AuditConfig] = None) -> RunOutcome:
     """One TCG core behind a fixed-latency memory port (the Fig 17 rig)."""
-    return run_tcg_rig(request, _make_auditor(audit))[0]
-
-
-def run_tcg_rig(request: RunRequest,
-                auditor=None) -> Tuple[RunOutcome, Simulator]:
-    """Build and run the Fig 17 rig; returns the outcome and its engine.
-
-    The tcg kind has no :class:`~repro.chip.session.RunSession`; this is
-    its way to read engine counters such as ``events_executed``.
-    """
+    auditor = _make_auditor(audit)
     profile = get_profile(request.workload)
     sim = Simulator()
     registry = StatsRegistry()
@@ -280,42 +268,34 @@ def run_tcg_rig(request: RunRequest,
         cycles=core.elapsed,
         instructions=core.instructions,
     )
-    outcome = build_outcome(
+    return build_outcome(
         request, result, registry.dump(), core.tree_dict(),
         auditor.summary() if auditor is not None else None)
-    return outcome, sim
 
 
 def _execute_compare(request: RunRequest,
                      audit: Optional[AuditConfig] = None) -> RunOutcome:
-    """One Fig 22 (or Fig 26, via ``technology_nm=40``) data point.
+    """One Fig 22 (or Fig 26, via ``technology_nm=40`` and the prototype
+    as ``power_config``) data point.
 
-    Energy accounting is conservative: SmarCo is billed the *full-chip*
-    power (paper Table 1's 240 W class) even when the simulated geometry
-    is scaled down, with a 0.5 activity floor — the paper's workloads
-    keep the chip busy.
+    Both sides are billed by :func:`~repro.power.report.smarco_watts`
+    and :func:`~repro.power.report.xeon_watts`.  Energy accounting is
+    conservative: unless ``request.power_config`` names another config,
+    SmarCo is billed the *full-chip* power (paper Table 1's 240 W class)
+    even when the simulated geometry is scaled down.
     """
     smarco_outcome = execute(replace(request, kind="smarco"), audit)
     xeon_outcome = execute(replace(request, kind="xeon"), audit)
     smarco_result = smarco_outcome.result
     xeon_result = xeon_outcome.result
-
-    smarco_power = PowerModel(
-        request.power_config if request.power_config is not None
-        else smarco_default())
-    xeon_power = XeonPowerModel(request.xeon_config)
     result = ComparisonResult(
         workload=request.workload,
         smarco=smarco_result,
         xeon=xeon_result,
-        smarco_watts=smarco_power.total_watts(
-            utilization=max(SMARCO_UTILIZATION_FLOOR,
-                            smarco_result.utilization),
-            technology_nm=request.technology_nm,
-        ),
-        xeon_watts=xeon_power.total_watts(
-            utilization=max(XEON_UTILIZATION_FLOOR,
-                            xeon_result.utilization)),
+        smarco_watts=smarco_watts(request.power_config,
+                                  smarco_result.utilization,
+                                  request.technology_nm),
+        xeon_watts=xeon_watts(request.xeon_config, xeon_result.utilization),
     )
     # both systems are component roots ("chip." / "xeon." prefixes), so the
     # two flat dumps merge without collision

@@ -285,6 +285,8 @@ class SmarCoConfig:
     def validate(self) -> None:
         if self.sub_rings <= 0 or self.cores_per_sub_ring <= 0:
             raise ConfigError("need >=1 sub-ring and >=1 core per sub-ring")
+        if self.frequency_ghz <= 0:
+            raise ConfigError("frequency_ghz must be positive")
         if self.memory.channels > max(self.sub_rings, 1):
             raise ConfigError(
                 "memory channels must not exceed main-ring stops (sub_rings)"

@@ -66,27 +66,8 @@ class ResultCache:
 
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
-        #: per-kind satisfaction counters for this cache's lifetime; the
-        #: runner notes one kind per sweep point so telemetry can tell a
-        #: warm-start partial hit from a full-run hit
-        self.counters: Dict[str, int] = {kind: 0 for kind in HIT_KINDS}
         #: entries that existed but could not be read or parsed
         self.corrupt = 0
-
-    def note(self, kind: str) -> None:
-        """Count how one sweep point was satisfied (see :data:`HIT_KINDS`)."""
-        if kind not in self.counters:
-            raise ValueError(f"unknown hit kind {kind!r}; "
-                             f"expected one of {HIT_KINDS}")
-        self.counters[kind] += 1
-
-    def hit_counts(self) -> Dict[str, int]:
-        """A copy of the per-kind counters (``hit`` / ``warm`` / ``miss``),
-        plus ``corrupt`` once any entry was unreadable."""
-        counts = dict(self.counters)
-        if self.corrupt:
-            counts["corrupt"] = self.corrupt
-        return counts
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -96,8 +77,8 @@ class ResultCache:
 
         An entry that exists but cannot be read or parsed also reads as
         ``None``, so the point is simulated again and its entry rewritten;
-        it is counted under ``corrupt`` in :meth:`hit_counts`, and the
-        first one per cache raises a warning.
+        it is counted in :attr:`corrupt` (and in the sweep's
+        ``hit_counts``), and the first one per cache raises a warning.
         """
         path = self._path(key)
         try:

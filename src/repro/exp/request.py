@@ -70,6 +70,9 @@ class RunRequest:
 
     # -- power / energy accounting (kinds {"smarco", "compare"}) --
     technology_nm: Optional[int] = None
+    #: the config a ``compare`` run bills the SmarCo side as (None = the
+    #: full chip, however small the simulated geometry); the Fig 26
+    #: prototype bills itself
     power_config: Optional[SmarCoConfig] = None
     #: DVFS operating point (see :mod:`repro.power.dvfs`).  Observation
     #: -only — it scales billed energy and wall-clock seconds, never the
@@ -165,8 +168,9 @@ class RunRequest:
             raise ConfigError("thread and instruction counts must be positive")
         if self.xeon_threads <= 0 or self.xeon_instrs_per_thread <= 0:
             raise ConfigError("Xeon thread and instruction counts must be positive")
-        if self.smarco_config is not None:
-            self.smarco_config.validate()
+        for config in (self.smarco_config, self.power_config):
+            if config is not None:
+                config.validate()
         if self.xeon_config is not None:
             self.xeon_config.validate()
         if self.run_cycles is not None and self.run_cycles <= 0:

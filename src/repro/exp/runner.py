@@ -23,7 +23,7 @@ import multiprocessing
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -33,7 +33,7 @@ from ..sim.checkpoint import save_checkpoint
 # unused here since records stopped storing a nested stats copy, but the
 # outside-in benchmark's tracer (bench/trace.py) still patches this name
 from ..sim.stats import nest_flat_stats  # noqa: F401
-from .cache import ResultCache, code_version, request_key
+from .cache import HIT_KINDS, ResultCache, code_version, request_key
 from .request import RunRequest, request_from_snapshot
 from .spec import ExperimentSpec, SweepPoint
 from .telemetry import RunRecord, utc_now, write_record
@@ -162,20 +162,45 @@ def _warm_session(request: RunRequest, warm: Path) -> RunSession:
 
 @dataclass
 class SweepResult:
-    """Everything one sweep produced, in point order."""
+    """Everything one sweep produced, in point order.
+
+    The counts describe this sweep alone: they are read from its own
+    records, so two sweeps on one :class:`Runner` never mix.
+    """
 
     spec_name: str
     outcomes: List[RunOutcome]
     records: List[RunRecord]
-    hits: int
-    misses: int
     wall_time_s: float
     workers: int
-    #: points satisfied by restoring a shared post-warmup checkpoint
-    #: (a partial hit: only the measurement suffix was simulated)
-    warm_hits: int = 0
-    #: the cache's per-kind counters ("hit" / "warm" / "miss")
-    hit_counts: Dict[str, int] = field(default_factory=dict)
+    #: unreadable cache entries this sweep met (and simulated again)
+    corrupt: int = 0
+
+    @property
+    def hit_counts(self) -> Dict[str, int]:
+        """Points per kind (``hit`` / ``warm`` / ``miss``), plus
+        ``corrupt`` when this sweep met any unreadable entry."""
+        kinds = [record.cache for record in self.records]
+        counts = {kind: kinds.count(kind) for kind in HIT_KINDS}
+        if self.corrupt:
+            counts["corrupt"] = self.corrupt
+        return counts
+
+    @property
+    def hits(self) -> int:
+        """Points replayed verbatim from the result cache."""
+        return self.hit_counts["hit"]
+
+    @property
+    def warm_hits(self) -> int:
+        """Points chained from a shared post-warmup checkpoint (a partial
+        hit: only the measurement suffix was simulated)."""
+        return self.hit_counts["warm"]
+
+    @property
+    def misses(self) -> int:
+        """Points simulated from cycle 0."""
+        return self.hit_counts["miss"]
 
     @property
     def results(self) -> List[Any]:
@@ -216,12 +241,12 @@ class Runner:
         outcomes: List[Optional[RunOutcome]] = [None] * len(points)
         records: List[Optional[RunRecord]] = [None] * len(points)
         keys = [request_key(p.request, self.version) for p in points]
+        corrupt_before = self.cache.corrupt
 
         pending: List[SweepPoint] = []
         for point, key in zip(points, keys):
             cached = self.cache.get(key) if self.use_cache else None
             if cached is not None:
-                self.cache.note("hit")
                 outcomes[point.index] = RunOutcome.from_dict(cached)
                 records[point.index] = self._record(
                     spec, point, key, cached, cache="hit",
@@ -230,13 +255,10 @@ class Runner:
                 pending.append(point)
 
         units = self._units(pending, warm_start)
-        warm_hits = 0
         for (members, warm), done in zip(units, self._execute(units)):
             kind = "warm" if warm else "miss"
-            warm_hits += len(members) if warm else 0
             for point, item in zip(members, done):
                 key = keys[point.index]
-                self.cache.note(kind)
                 outcome_dict = item["outcome"]
                 if self.use_cache:
                     self.cache.put(key, outcome_dict)
@@ -247,17 +269,13 @@ class Runner:
 
         for record in records:
             write_record(self.runs_dir, record)
-        counts = self.cache.hit_counts()
         return SweepResult(
             spec_name=spec.name,
             outcomes=list(outcomes),
             records=list(records),
-            hits=len(points) - len(pending),
-            misses=len(pending) - warm_hits,
             wall_time_s=time.perf_counter() - sweep_start,
             workers=self.workers,
-            warm_hits=warm_hits,
-            hit_counts=counts,
+            corrupt=self.cache.corrupt - corrupt_before,
         )
 
     # -- internals ---------------------------------------------------------------

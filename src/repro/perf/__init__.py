@@ -3,8 +3,9 @@
 Three pieces:
 
 * :mod:`repro.perf.kernels` — a fixed suite of microbenchmarks over the
-  simulator's hot paths (event engine, links, rings, MACT, full-chip
-  runs), each deterministic so only *time* varies between runs;
+  simulator's hot paths (event engine, links, rings, MACT, scheduler,
+  traffic tier, energy accounting), each deterministic so only *time*
+  varies between runs;
 * :mod:`repro.perf.bench` — the ``BENCH_<timestamp>.json`` record those
   runs write (events/sec, units/sec, peak RSS, code digest) and the
   comparator behind the ``perf --compare`` regression gate;

@@ -17,16 +17,6 @@ Each kernel isolates one simulator hot path:
   (bitmap merge, deadline timers, capacity evictions);
 * ``sched_assign``     — the scheduler dispatch hot loop (submit /
   assign / release-context) across every registered policy;
-* ``chip_fig17``       — the Fig 17 single-TCG rig through
-  :func:`repro.chip.run.run_tcg_rig` (also yields the golden result
-  digest and the engine's event count);
-* ``chip_fig23``       — a scaled-down Fig 23 full-chip run through
-  :class:`repro.chip.session.RunSession` (golden digest of the whole
-  chip: cores, MACT, NoC, DRAM; engine event count);
-* ``ckpt_roundtrip``   — capture -> serialise -> restore of a paused
-  chip session through the versioned checkpoint container (the warm-
-  start materialization hot path; digest proves the restored session
-  still finishes bit-identically);
 * ``traffic_arrivals`` — the open-loop cluster tier on a synthetic chip
   calibration: bursty arrivals through the subring-aware balancer into
   queueing chip servers, every latency folded through the streaming
@@ -37,6 +27,11 @@ Each kernel isolates one simulator hot path:
   attribution, DVFS/node scaling, power gating) across the full
   operating-point grid — the post-run accounting cost every smarco/
   compare run now pays, measured in isolation.
+
+Whole runs (the Fig 17 single-core rig, a full chip, a cached warm
+sweep) are measured by the outside-in benchmark in ``bench/``
+(``tcg-kmp``, ``chip64-ocean``, ``sweep-mixed``); their fixed-seed
+digests are pinned in ``tests/perf/test_golden_digest.py``.
 
 Kernels are deterministic: fixed seeds, no wall-clock feedback into the
 simulation — so their *results* (events, units, digests) are identical
@@ -73,9 +68,6 @@ SIZES: Dict[str, Dict[str, Dict[str, int]]] = {
         "hierring_saturation": {"packets": 400},
         "mact_batching": {"requests": 5_000},
         "sched_assign": {"tasks": 400},
-        "chip_fig17": {"instrs": 60},
-        "chip_fig23": {"instrs": 40},
-        "ckpt_roundtrip": {"cycle": 300, "rounds": 2},
         "traffic_arrivals": {"requests": 2_000, "chips": 2},
         "energy_accounting": {"rounds": 20},
     },
@@ -87,9 +79,6 @@ SIZES: Dict[str, Dict[str, Dict[str, int]]] = {
         "hierring_saturation": {"packets": 3_000},
         "mact_batching": {"requests": 50_000},
         "sched_assign": {"tasks": 3_000},
-        "chip_fig17": {"instrs": 300},
-        "chip_fig23": {"instrs": 120},
-        "ckpt_roundtrip": {"cycle": 800, "rounds": 5},
         "traffic_arrivals": {"requests": 20_000, "chips": 4},
         "energy_accounting": {"rounds": 200},
     },
@@ -101,9 +90,6 @@ SIZES: Dict[str, Dict[str, Dict[str, int]]] = {
         "hierring_saturation": {"packets": 10_000},
         "mact_batching": {"requests": 200_000},
         "sched_assign": {"tasks": 12_000},
-        "chip_fig17": {"instrs": 600},
-        "chip_fig23": {"instrs": 250},
-        "ckpt_roundtrip": {"cycle": 1500, "rounds": 10},
         "traffic_arrivals": {"requests": 150_000, "chips": 8},
         "energy_accounting": {"rounds": 1_000},
     },
@@ -357,78 +343,6 @@ def _k_sched_assign(params: Dict[str, int]) -> Dict[str, Any]:
             "checksum": checksum}
 
 
-def _k_chip_fig17(params: Dict[str, int]) -> Dict[str, Any]:
-    """The Fig 17 rig: one TCG core, fixed-latency memory, fixed seed."""
-    from ..chip.run import run_tcg_rig
-    from ..exp import RunRequest
-
-    request = RunRequest(kind="tcg", workload="kmp", seed=0,
-                         instrs_per_thread=params["instrs"])
-    outcome, sim = run_tcg_rig(request)
-    return {"events": sim.events_executed,
-            "units": outcome.result.instructions,
-            "unit": "instrs", "digest": result_digest(outcome)}
-
-
-def _k_chip_fig23(params: Dict[str, int]) -> Dict[str, Any]:
-    """A scaled-down Fig 23 full-chip run (2 sub-rings x 4 cores)."""
-    from ..chip.session import RunSession
-    from ..config import smarco_scaled
-    from ..exp import RunRequest
-
-    request = RunRequest(kind="smarco", workload="wordcount", seed=0,
-                         smarco_config=smarco_scaled(2, 4),
-                         threads_per_core=4,
-                         instrs_per_thread=params["instrs"])
-    session = RunSession(request)
-    outcome = session.finish()
-    return {"events": session.sim.events_executed,
-            "units": outcome.result.instructions,
-            "unit": "instrs", "digest": result_digest(outcome)}
-
-
-def _k_ckpt_roundtrip(params: Dict[str, int]) -> Dict[str, Any]:
-    """Full checkpoint round trips of a paused scaled-down chip.
-
-    Each round is the warm-start materialization path end to end:
-    capture the session, serialise the container to JSON, parse it back
-    and restore into a freshly rebuilt system.  The final restored
-    session is finished and digested so any restore corruption fails
-    the cross-repeat determinism check instead of going unnoticed.
-    """
-    import json
-
-    from ..chip.session import RunSession
-    from ..config import smarco_scaled
-    from ..exp import RunRequest
-    from ..mem.request import set_request_id_state
-    from ..noc.packet import set_packet_id_state
-    from ..sched.task import set_task_id_state
-    from ..sim.checkpoint import Checkpoint
-
-    # pin the module id counters so the serialised byte count (part of
-    # the cross-repeat determinism check) doesn't drift with whatever
-    # ran earlier in this process
-    set_request_id_state(0)
-    set_packet_id_state(0)
-    set_task_id_state(0)
-    request = RunRequest(kind="smarco", workload="kmp", seed=5,
-                         smarco_config=smarco_scaled(2, 4),
-                         threads_per_core=4, instrs_per_thread=120)
-    session = RunSession(request)
-    session.run_to(params["cycle"])
-    rounds = params["rounds"]
-    size = 0
-    restored = session
-    for _ in range(rounds):
-        payload = json.dumps(session.checkpoint().to_dict())
-        size = len(payload)
-        restored = RunSession.restore(
-            Checkpoint.from_dict(json.loads(payload)))
-    return {"events": 0, "units": rounds, "unit": "roundtrips",
-            "bytes": size, "digest": result_digest(restored.finish())}
-
-
 def _k_energy_accounting(params: Dict[str, int]) -> Dict[str, Any]:
     """Synthetic scoped stats through the activity energy model.
 
@@ -531,9 +445,6 @@ KERNELS: Dict[str, Callable[[Dict[str, int]], Dict[str, Any]]] = {
     "hierring_saturation": _k_hierring_saturation,
     "mact_batching": _k_mact_batching,
     "sched_assign": _k_sched_assign,
-    "chip_fig17": _k_chip_fig17,
-    "chip_fig23": _k_chip_fig23,
-    "ckpt_roundtrip": _k_ckpt_roundtrip,
     "traffic_arrivals": _k_traffic_arrivals,
     "energy_accounting": _k_energy_accounting,
 }

@@ -7,6 +7,11 @@ watts, perf/W, and (for ``compare`` runs) the SmarCo/Xeon efficiency
 ratio — as the ``energy`` field of :class:`~repro.chip.run.RunOutcome`
 and of the per-run telemetry record.
 
+It also owns the one static power bill, :func:`smarco_watts` and
+:func:`xeon_watts`: Table 1 watts at a run's utilisation, floored.  The
+``compare`` run bills both sides of Figs 22 and 26 with it, and the
+energy report's ``static_model_watts`` column is the SmarCo side.
+
 Everything here is observation-only: it reads ``RunOutcome.stats`` after
 the simulation ends and never feeds back, so all pinned golden digests
 are unchanged by energy accounting, DVFS points, or power gating.
@@ -18,19 +23,37 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..config import smarco_default
+from ..config import SmarCoConfig, XeonConfig, smarco_default
 from .activity import ActivityEnergyModel, EnergyAccounting
 from .dvfs import get_dvfs
 from .energy import PowerModel, XeonPowerModel, energy_efficiency
 
-__all__ = ["EnergyReport", "build_energy_report", "TOP_PATHS"]
+__all__ = ["EnergyReport", "build_energy_report", "smarco_watts",
+           "xeon_watts", "TOP_PATHS"]
 
 #: how many hottest component paths the report keeps
 TOP_PATHS = 8
 
-#: activity floors of every power bill, here and in the Fig 22 compare
+#: activity floors of the one power bill (:func:`smarco_watts`,
+#: :func:`xeon_watts`)
 SMARCO_UTILIZATION_FLOOR = 0.5
 XEON_UTILIZATION_FLOOR = 0.1
+
+
+def smarco_watts(config: Optional[SmarCoConfig], utilization: float,
+                 technology_nm: Optional[int] = None) -> float:
+    """Table 1 watts of a SmarCo ``config`` (None = the full chip) at a
+    run's utilisation, floored at :data:`SMARCO_UTILIZATION_FLOOR`."""
+    return PowerModel(config).total_watts(
+        utilization=max(SMARCO_UTILIZATION_FLOOR, utilization),
+        technology_nm=technology_nm)
+
+
+def xeon_watts(config: Optional[XeonConfig], utilization: float) -> float:
+    """TDP-model watts of a Xeon ``config`` (None = Table 2's) at a run's
+    utilisation, floored at :data:`XEON_UTILIZATION_FLOOR`."""
+    return XeonPowerModel(config).total_watts(
+        utilization=max(XEON_UTILIZATION_FLOOR, utilization))
 
 
 @dataclass
@@ -48,11 +71,8 @@ class EnergyReport:
     top_paths: List[Tuple[str, float]] = field(default_factory=list)
     #: static Table 1 watts at the run's utilization (cross-check column)
     static_model_watts: float = math.nan
-    #: baseline side (compare runs only)
-    xeon_watts: float = math.nan
-    xeon_throughput_ips: float = math.nan
-    xeon_perf_per_watt: float = math.nan
-    #: (perf/W SmarCo) / (perf/W Xeon); NaN outside compare runs
+    #: (perf/W SmarCo) / (perf/W Xeon, as the compare result billed it);
+    #: NaN outside compare runs
     efficiency_ratio: float = math.nan
 
     def to_dict(self) -> Dict[str, Any]:
@@ -66,9 +86,6 @@ class EnergyReport:
             "perf_per_watt": self.perf_per_watt,
             "top_paths": [[p, j] for p, j in self.top_paths],
             "static_model_watts": self.static_model_watts,
-            "xeon_watts": self.xeon_watts,
-            "xeon_throughput_ips": self.xeon_throughput_ips,
-            "xeon_perf_per_watt": self.xeon_perf_per_watt,
             "efficiency_ratio": self.efficiency_ratio,
         }
 
@@ -104,9 +121,6 @@ def build_energy_report(outcome: Any) -> Optional[EnergyReport]:
     # throughput at the operating point: same simulated IPC, DVFS clock
     throughput = smarco_result.ipc * point.frequency_ghz * 1e9
     perf_per_watt = energy_efficiency(throughput, acct.average_watts)
-    static_watts = PowerModel(config).total_watts(
-        utilization=max(SMARCO_UTILIZATION_FLOOR, smarco_result.utilization),
-        technology_nm=node)
 
     report = EnergyReport(
         kind=request.kind,
@@ -117,20 +131,16 @@ def build_energy_report(outcome: Any) -> Optional[EnergyReport]:
         throughput_ips=throughput,
         perf_per_watt=perf_per_watt,
         top_paths=_top_paths(acct),
-        static_model_watts=static_watts,
+        static_model_watts=smarco_watts(config, smarco_result.utilization,
+                                        node),
     )
 
     if request.kind == "compare":
-        xeon_result = result.xeon
-        xeon_watts = XeonPowerModel(request.xeon_config).total_watts(
-            utilization=max(XEON_UTILIZATION_FLOOR, xeon_result.utilization))
-        report.xeon_watts = xeon_watts
-        report.xeon_throughput_ips = xeon_result.throughput_ips
-        report.xeon_perf_per_watt = energy_efficiency(
-            xeon_result.throughput_ips, xeon_watts)
-        if (report.xeon_perf_per_watt and report.perf_per_watt
-                and not math.isnan(report.xeon_perf_per_watt)
-                and not math.isnan(report.perf_per_watt)):
-            report.efficiency_ratio = (report.perf_per_watt
-                                       / report.xeon_perf_per_watt)
+        # the baseline side as the compare result billed it
+        xeon_perf_per_watt = energy_efficiency(
+            result.xeon.throughput_ips, result.xeon_watts)
+        if (xeon_perf_per_watt and perf_per_watt
+                and not math.isnan(xeon_perf_per_watt)
+                and not math.isnan(perf_per_watt)):
+            report.efficiency_ratio = perf_per_watt / xeon_perf_per_watt
     return report

@@ -40,11 +40,15 @@ class TestRunHelpers:
 
 class TestCompare:
     @pytest.fixture(scope="class")
-    def result(self):
+    def outcome(self):
         return execute(RunRequest(
             kind="compare", workload="wordcount",
             smarco_config=smarco_scaled(2, 8), instrs_per_thread=150,
-            xeon_threads=16, xeon_instrs_per_thread=10_000, seed=9)).result
+            xeon_threads=16, xeon_instrs_per_thread=10_000, seed=9))
+
+    @pytest.fixture(scope="class")
+    def result(self, outcome):
+        return outcome.result
 
     def test_result_shape(self, result):
         assert isinstance(result, ComparisonResult)
@@ -61,6 +65,24 @@ class TestCompare:
         power even for the scaled geometry."""
         assert result.smarco_watts > 100       # 240W-class, not a 16-core sliver
         assert 0 < result.xeon_watts <= 165
+
+    def test_power_config_bills_that_config(self, outcome):
+        """``power_config`` bills the SmarCo side as the named config."""
+        full = outcome.result
+        scaled = execute(outcome.request.replace(
+            power_config=smarco_scaled(2, 16))).result
+        assert 0 < scaled.smarco_watts < full.smarco_watts
+        # the simulated runs and the baseline's bill are untouched
+        assert scaled.smarco.to_dict() == full.smarco.to_dict()
+        assert scaled.xeon_watts == full.xeon_watts
+
+    def test_energy_ratio_reads_the_billed_baseline(self, outcome):
+        """The energy report's ratio divides by the compare's own Xeon
+        perf/W rather than billing the baseline again."""
+        result, energy = outcome.result, outcome.energy
+        xeon_perf_per_watt = result.xeon.throughput_ips / result.xeon_watts
+        assert energy["efficiency_ratio"] == (energy["perf_per_watt"]
+                                              / xeon_perf_per_watt)
 
     def test_energy_gain_consistent(self, result):
         smarco_eff = result.smarco.throughput_ips / result.smarco_watts

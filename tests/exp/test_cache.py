@@ -69,12 +69,11 @@ class TestResultCache:
             cache.put(key, {"ok": True})
             cache._path(key).write_text("")
         assert cache.get("ff" + "2" * 62) is None      # plain miss
-        assert "corrupt" not in cache.hit_counts()
+        assert cache.corrupt == 0
         with pytest.warns(RuntimeWarning) as seen:
             assert [cache.get(key) for key in keys] == [None, None]
         assert len(seen) == 1
-        assert cache.hit_counts() == {"hit": 0, "warm": 0, "miss": 0,
-                                      "corrupt": 2}
+        assert cache.corrupt == 2
 
 
 class TestCachedSweeps:

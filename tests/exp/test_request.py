@@ -49,6 +49,19 @@ class TestEnergyKnobs:
         with pytest.raises(ConfigError):
             RunRequest(technology_nm=22).validate()
 
+    def test_invalid_power_config_rejected(self):
+        bad = dataclasses.replace(smarco_scaled(1, 4), sub_rings=0)
+        with pytest.raises(ConfigError, match="sub-ring"):
+            RunRequest(kind="compare", power_config=bad).validate()
+
+    def test_nonpositive_frequency_rejected(self):
+        bad = dataclasses.replace(smarco_scaled(1, 4), frequency_ghz=-1.0)
+        with pytest.raises(ConfigError, match="frequency_ghz"):
+            bad.validate()
+        for field in ("smarco_config", "power_config"):
+            with pytest.raises(ConfigError, match="frequency_ghz"):
+                RunRequest(kind="compare", **{field: bad}).validate()
+
     def test_dvfs_and_node_are_cache_key_axes(self):
         from repro.exp.cache import request_key
 

@@ -8,9 +8,9 @@ warm-start partial hit from a full-run cache hit.
 
 import pytest
 
+from repro.config import smarco_scaled
 from repro.errors import ConfigError
 from repro.exp import ExperimentSpec, RunRequest
-from repro.exp.cache import HIT_KINDS, ResultCache
 from repro.exp.runner import Runner
 
 BASE = RunRequest(kind="sched", sched_policy="laxity",
@@ -69,17 +69,35 @@ class TestWarmEqualsCold:
         assert f"{len(HORIZONS)} warm starts" in text
 
 
-class TestCacheCounters:
-    def test_note_and_counts(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.hit_counts() == {"hit": 0, "warm": 0, "miss": 0}
-        for kind in HIT_KINDS:
-            cache.note(kind)
-        assert cache.hit_counts() == {"hit": 1, "warm": 1, "miss": 1}
+class TestSweepCounts:
+    """A sweep's counts describe that sweep, even on a reused Runner."""
 
-    def test_unknown_kind_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown hit kind"):
-            ResultCache(tmp_path).note("lukewarm")
+    FAST = RunRequest(kind="smarco", workload="kmp",
+                      smarco_config=smarco_scaled(1, 4),
+                      threads_per_core=4, instrs_per_thread=60)
+
+    def test_reused_runner_counts_one_sweep(self, tmp_path):
+        runner = Runner(workers=1, base_dir=tmp_path)
+        first = runner.run(ExperimentSpec.grid("a", self.FAST, seed=[0, 1]))
+        assert first.hit_counts == {"hit": 0, "warm": 0, "miss": 2}
+        second = runner.run(
+            ExperimentSpec.grid("b", self.FAST, seed=[0, 1, 2]))
+        assert (second.hits, second.warm_hits, second.misses) == (2, 0, 1)
+        assert second.hit_counts == {"hit": 2, "warm": 0, "miss": 1}
+
+    def test_corrupt_entries_count_in_the_sweep_that_met_them(
+            self, tmp_path):
+        runner = Runner(workers=1, base_dir=tmp_path)
+        spec = ExperimentSpec.grid("c", self.FAST, seed=[0])
+        runner.run(spec)
+        entry = next(runner.cache.root.glob("*/*.json"))
+        entry.write_text("{torn")
+        with pytest.warns(RuntimeWarning, match="unreadable result cache"):
+            torn = runner.run(spec)
+        assert torn.hit_counts == {"hit": 0, "warm": 0, "miss": 1,
+                                   "corrupt": 1}
+        assert runner.run(spec).hit_counts == {"hit": 1, "warm": 0,
+                                               "miss": 0}
 
 
 class TestWarmRequestValidation:

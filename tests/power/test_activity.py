@@ -213,4 +213,4 @@ class TestOutcomeIntegration:
         energy = outcome.energy
         assert energy is not None
         assert energy["efficiency_ratio"] > 0
-        assert energy["xeon_watts"] > 0
+        assert outcome.result.xeon_watts > 0
