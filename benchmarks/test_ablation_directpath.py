@@ -28,14 +28,13 @@ def _run(direct_enabled, instrs):
     return result, direct_count
 
 
-def test_ablation_directpath(benchmark, emit, chip_scale):
+def test_ablation_directpath(emit, chip_scale):
     instrs = chip_scale[2]
 
     def sweep():
         return _run(True, instrs), _run(False, instrs)
 
-    (with_dp, dp_count), (without_dp, _zero) = benchmark.pedantic(
-        sweep, rounds=1, iterations=1)
+    (with_dp, dp_count), (without_dp, _zero) = sweep()
 
     emit("ablation_directpath", render_table(
         ["configuration", "cycles", "mean req latency", "direct deliveries"],

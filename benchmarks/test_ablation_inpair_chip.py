@@ -23,7 +23,7 @@ def _run(policy, threads_per_core, instrs):
     return chip.run()
 
 
-def test_ablation_inpair_chip(benchmark, emit, chip_scale):
+def test_ablation_inpair_chip(emit, chip_scale):
     instrs = chip_scale[2]
 
     def sweep():
@@ -34,7 +34,7 @@ def test_ablation_inpair_chip(benchmark, emit, chip_scale):
             "inpair@4": _run("inpair", 4, instrs),
         }
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
 
     emit("ablation_inpair_chip", render_table(
         ["policy", "threads/core", "throughput (Ginstr/s)",

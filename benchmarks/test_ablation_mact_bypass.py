@@ -55,14 +55,13 @@ def _run(bypass, instrs):
     return mean(realtime_lat), mean(normal_lat), bypasses
 
 
-def test_ablation_mact_bypass(benchmark, emit, chip_scale):
+def test_ablation_mact_bypass(emit, chip_scale):
     instrs = chip_scale[2]
 
     def sweep():
         return _run(True, instrs), _run(False, instrs)
 
-    (rt_on, norm_on, n_bypass), (rt_off, norm_off, zero) = benchmark.pedantic(
-        sweep, rounds=1, iterations=1)
+    (rt_on, norm_on, n_bypass), (rt_off, norm_off, zero) = sweep()
 
     emit("ablation_mact_bypass", render_table(
         ["configuration", "realtime req latency", "normal req latency",

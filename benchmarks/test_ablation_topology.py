@@ -92,7 +92,7 @@ def _router_ports():
     return hier, mesh
 
 
-def test_ablation_topology(benchmark, emit):
+def test_ablation_topology(emit):
     pairs = _random_pairs(RngTree(64).stream("topo"), PACKETS)
 
     def sweep():
@@ -104,7 +104,7 @@ def test_ablation_topology(benchmark, emit):
             "mesh_hops": mesh_hops,
         }
 
-    data = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    data = sweep()
     hier_ports, mesh_ports = _router_ports()
 
     emit("ablation_topology", render_table(

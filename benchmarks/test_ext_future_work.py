@@ -66,7 +66,7 @@ def _pim_vs_cores(text_bytes=64 * 1024):
     return pim_cycles, core_cycles, text_bytes
 
 
-def test_ext_future_work(benchmark, emit, chip_scale):
+def test_ext_future_work(emit, chip_scale):
     instrs = chip_scale[2]
 
     def sweep():
@@ -75,8 +75,7 @@ def test_ext_future_work(benchmark, emit, chip_scale):
         pim_cycles, core_cycles, nbytes = _pim_vs_cores()
         return on, hits, off, pim_cycles, core_cycles, nbytes
 
-    on, hits, off, pim_cycles, core_cycles, nbytes = benchmark.pedantic(
-        sweep, rounds=1, iterations=1)
+    on, hits, off, pim_cycles, core_cycles, nbytes = sweep()
 
     prefetch_tbl = render_table(
         ["configuration", "cycles", "mean req latency", "prefetch hits"],

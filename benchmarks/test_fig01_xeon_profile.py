@@ -33,8 +33,8 @@ def _sweep():
     return rows
 
 
-def test_fig01_xeon_profile(benchmark, emit):
-    rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_fig01_xeon_profile(emit):
+    rows = _sweep()
 
     idle_tbl = render_series(
         "threads", THREAD_COUNTS,

@@ -13,8 +13,8 @@ def _sweep():
     return CdnModel(CdnConfig()).sweep(points=8)
 
 
-def test_fig02_cdn(benchmark, emit):
-    points = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_fig02_cdn(emit):
+    points = _sweep()
 
     rows = [[p.connections, round(p.nic_utilization, 3),
              round(p.cpu_utilization, 4), round(p.branch_miss_ratio, 3),

@@ -32,8 +32,8 @@ def _sweep():
     return _measure(HTC_PROFILES), _measure(SPLASH2_PROFILES)
 
 
-def test_fig08_granularity(benchmark, emit):
-    htc, splash = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_fig08_granularity(emit):
+    htc, splash = _sweep()
 
     def table(hists, title):
         labels = next(iter(hists.values())).bin_labels()

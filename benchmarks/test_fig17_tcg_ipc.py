@@ -28,7 +28,7 @@ def _request(workload, n_threads, policy="inpair", seed=0):
                       core_policy=policy, mem_latency=MEM_LATENCY)
 
 
-def test_fig17_tcg_ipc(benchmark, emit, exp_runner):
+def test_fig17_tcg_ipc(emit, exp_runner):
     workloads = list(HTC_PROFILES)
     grid = [_request(wl, n) for wl in workloads for n in THREADS]
     ablation_points = [_request("kmp", 8, "inpair"),
@@ -45,7 +45,7 @@ def test_fig17_tcg_ipc(benchmark, emit, exp_runner):
         ablation = {r.policy: r.ipc for r in results[len(grid):]}
         return series, ablation
 
-    series, ablation = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    series, ablation = sweep()
 
     fig = render_series(
         "threads", THREADS,

@@ -48,8 +48,8 @@ def _sweep():
     return series, ablation
 
 
-def test_fig18_hdnoc(benchmark, emit):
-    series, ablation = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_fig18_hdnoc(emit):
+    series, ablation = _sweep()
 
     # normalise to the 16B (conventional-width) point, as the paper plots
     # "improvement of throughput rate"

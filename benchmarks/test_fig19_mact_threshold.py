@@ -25,7 +25,7 @@ def _config(threshold, sub_rings, cores):
                                mact=MACTConfig(threshold_cycles=threshold))
 
 
-def test_fig19_mact_threshold(benchmark, emit, chip_scale, exp_runner):
+def test_fig19_mact_threshold(emit, chip_scale, exp_runner):
     sub_rings, cores, instrs = 2, 8, chip_scale[2]   # small chip: 20 runs
 
     spec = ExperimentSpec.grid(
@@ -46,7 +46,7 @@ def test_fig19_mact_threshold(benchmark, emit, chip_scale, exp_runner):
             series[wl] = [t / base for t in tputs]
         return series
 
-    series = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    series = sweep()
 
     emit("fig19_mact_threshold", render_series(
         "threshold", THRESHOLDS,

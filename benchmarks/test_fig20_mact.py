@@ -27,7 +27,7 @@ def _run(workload, enabled, scale):
     return chip.run()
 
 
-def test_fig20_mact(benchmark, emit, chip_scale):
+def test_fig20_mact(emit, chip_scale):
     scale = (2, 8, chip_scale[2])
 
     def sweep():
@@ -46,7 +46,7 @@ def test_fig20_mact(benchmark, emit, chip_scale):
             }
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
 
     emit("fig20_mact", render_table(
         ["workload", "speedup", "req latency (x)", "NoC BW util (x)",

@@ -34,8 +34,8 @@ def _sweep():
     return edf, lax
 
 
-def test_fig21_scheduler(benchmark, emit):
-    edf, lax = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_fig21_scheduler(emit):
+    edf, lax = _sweep()
 
     emit("fig21_scheduler", render_table(
         ["scheduler", "earliest exit", "latest exit", "spread",

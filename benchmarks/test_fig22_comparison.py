@@ -19,7 +19,7 @@ from repro.workloads import HTC_PROFILES
 WORKLOADS = list(HTC_PROFILES)
 
 
-def test_fig22_comparison(benchmark, emit, chip_scale):
+def test_fig22_comparison(emit, chip_scale):
     sub_rings, cores, instrs = chip_scale
     cfg = smarco_scaled(sub_rings, cores)
 
@@ -33,7 +33,7 @@ def test_fig22_comparison(benchmark, emit, chip_scale):
             for wl in WORKLOADS
         }
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
 
     speedups = {wl: r.speedup for wl, r in results.items()}
     gains = {wl: r.energy_efficiency_gain for wl, r in results.items()}

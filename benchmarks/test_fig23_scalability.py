@@ -24,7 +24,7 @@ XEON_TOTAL_WORK = 8_000_000
 SMARCO_TOTAL_WORK = 1_500_000
 
 
-def test_fig23_scalability(benchmark, emit, chip_scale, exp_runner):
+def test_fig23_scalability(emit, chip_scale, exp_runner):
     sub_rings, cores, _ = chip_scale
     cfg = smarco_scaled(sub_rings, cores)
 
@@ -48,7 +48,7 @@ def test_fig23_scalability(benchmark, emit, chip_scale, exp_runner):
         smarco = [r.throughput_ips for r in results[len(THREADS):]]
         return xeon, smarco
 
-    xeon, smarco = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    xeon, smarco = sweep()
 
     emit("fig23_scalability", render_series(
         "threads", THREADS,

@@ -41,14 +41,14 @@ def _gain(workload, cfg, instrs):
     return smarco_eff / xeon_eff
 
 
-def test_fig26_prototype(benchmark, emit, chip_scale):
+def test_fig26_prototype(emit, chip_scale):
     _, _, instrs = chip_scale
     cfg = _prototype_config()
 
     def sweep():
         return {wl: _gain(wl, cfg, instrs) for wl in WORKLOADS}
 
-    gains = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    gains = sweep()
 
     rows = [[wl, round(gains[wl], 2)] for wl in WORKLOADS]
     rows.append(["geomean", round(geometric_mean(list(gains.values())), 2)])

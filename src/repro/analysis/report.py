@@ -50,8 +50,7 @@ def build_report(results_dir: Path,
     """Assemble the markdown report (missing sections are noted)."""
     results = collect_results(results_dir)
     lines = [f"# {title}", "",
-             "Regenerate the raw outputs with "
-             "`pytest benchmarks/ --benchmark-only`.", ""]
+             "Regenerate the raw outputs with `pytest benchmarks/`.", ""]
     seen = set()
     for stem, heading in EXPERIMENT_ORDER:
         lines.append(f"## {heading}")
@@ -63,8 +62,7 @@ def build_report(results_dir: Path,
             seen.add(stem)
         else:
             lines.append(f"*not yet generated — run "
-                         f"`pytest benchmarks/test_{stem}.py "
-                         f"--benchmark-only`*")
+                         f"`pytest benchmarks/test_{stem}.py`*")
         lines.append("")
     extras = sorted(set(results) - seen)
     for stem in extras:

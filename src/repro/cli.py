@@ -307,33 +307,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf_p = sub.add_parser(
         "perf",
-        help="run the simulator microbenchmark suite and record a "
-             "BENCH_<timestamp>.json (or --compare two records)")
+        help="time the simulator microbenchmark suite (or --profile one "
+             "kernel); writes nothing")
     perf_p.add_argument("--size", default="default",
-                        choices=("tiny", "small", "default"),
-                        help="suite workload size (tiny = CI smoke)")
+                        choices=("tiny", "default"),
+                        help="suite workload size (tiny = sub-second)")
     perf_p.add_argument("--repeat", type=int, default=3,
                         help="timing repeats per kernel (best-of-N)")
     perf_p.add_argument("--kernels", nargs="+", default=None,
                         metavar="KERNEL",
                         help="run only these kernels (default: all)")
-    perf_p.add_argument("--out", default="results/perf",
-                        help="directory for BENCH_<timestamp>.json")
-    perf_p.add_argument("--no-write", action="store_true",
-                        help="print the suite results without writing a "
-                             "BENCH file")
     perf_p.add_argument("--profile", metavar="KERNEL", default=None,
                         help="run one kernel under cProfile and print the "
                              "top functions instead of timing the suite")
     perf_p.add_argument("--top", type=int, default=20,
                         help="rows per cProfile table (with --profile)")
-    perf_p.add_argument("--compare", nargs=2,
-                        metavar=("BASELINE", "CURRENT"), default=None,
-                        help="diff two BENCH files; exit 1 when any kernel "
-                             "regressed more than --threshold percent")
-    perf_p.add_argument("--threshold", type=float, default=30.0,
-                        metavar="PCT",
-                        help="units/sec regression tolerance for --compare")
 
     pol_p = sub.add_parser(
         "policies",
@@ -698,31 +686,29 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    from .exp.cache import code_version
-    from .perf import (BenchRecord, compare_benches, load_bench, peak_rss_kb,
-                       profile_kernel, run_suite)
+    from .errors import ConfigError
+    from .perf import run_suite
 
-    if args.compare:
-        comparison = compare_benches(load_bench(Path(args.compare[0])),
-                                     load_bench(Path(args.compare[1])),
-                                     threshold_pct=args.threshold)
-        print(comparison.render())
-        return 0 if comparison.ok else 1
-    if args.profile:
-        result, report = profile_kernel(args.profile, size=args.size,
-                                        top=args.top)
-        print(report)
-        print(f"kernel result: {result}")
-        return 0
-    kernels = run_suite(size=args.size, repeat=args.repeat,
-                        only=args.kernels)
-    record = BenchRecord(code_digest=code_version(), size=args.size,
-                         repeat=args.repeat, kernels=kernels,
-                         peak_rss_kb=peak_rss_kb())
-    print(record.render())
-    if not args.no_write:
-        path = record.write(Path(args.out))
-        print(f"\nBENCH record written to {path}")
+    try:
+        if args.profile:
+            from .perf.profile import profile_kernel
+
+            result, report = profile_kernel(args.profile, size=args.size,
+                                            top=args.top)
+            print(report)
+            print(f"kernel result: {result}")
+            return 0
+        kernels = run_suite(size=args.size, repeat=args.repeat,
+                            only=args.kernels)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    rows = [[name, f"{k['wall_s']:.4f}", f"{k['events_per_sec']:,.0f}",
+             f"{k['units_per_sec']:,.0f}", k["unit"]]
+            for name, k in kernels.items()]
+    print(render_table(["kernel", "wall s", "events/s", "units/s", "unit"],
+                       rows, title=f"perf suite [{args.size}] "
+                                   f"x{args.repeat}"))
     return 0
 
 

@@ -46,25 +46,27 @@ WORKERS_ENV = "REPRO_WORKERS"
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Explicit argument wins; else ``$REPRO_WORKERS``; else serial.
 
-    A value that is not a positive integer is *reported*, not silently
-    coerced: ``REPRO_WORKERS=two`` or ``REPRO_WORKERS=0`` used to mean 1
-    with no hint of the typo.
+    A value from either source that is not a positive integer is
+    *reported*, not silently coerced: ``workers=-3``,
+    ``REPRO_WORKERS=two`` or ``REPRO_WORKERS=0`` used to mean 1 with no
+    hint of the typo.
     """
+    source, value = "workers", repr(workers)
     if workers is None:
         raw = os.environ.get(WORKERS_ENV, "").strip()
-        workers = 1
-        if raw:
-            try:
-                workers = int(raw)
-            except ValueError:
-                workers = 0
-            if workers < 1:
-                warnings.warn(
-                    f"ignoring invalid {WORKERS_ENV}={raw!r} (expected a "
-                    "positive integer); using 1", RuntimeWarning,
-                    stacklevel=2)
-                workers = 1
-    return max(1, workers)
+        if not raw:
+            return 1
+        source, value = WORKERS_ENV, repr(raw)
+        try:
+            workers = int(raw)
+        except ValueError:
+            workers = 0
+    if workers < 1:
+        warnings.warn(f"ignoring invalid {source}={value} (expected a "
+                      "positive integer); using 1", RuntimeWarning,
+                      stacklevel=2)
+        return 1
+    return workers
 
 
 #: One unit of pool work: the points it covers and, for a warm group, the

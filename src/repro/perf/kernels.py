@@ -3,8 +3,7 @@
 Each kernel isolates one simulator hot path:
 
 * ``engine_churn``     — raw event-queue throughput: callback chains that
-  reschedule themselves with a 0/1/2-cycle delay mix (the kernel the
-  ISSUE's >=1.5x events/sec target is measured on);
+  reschedule themselves with a 0/1/2-cycle delay mix;
 * ``process_signal``   — generator processes ping-ponging over
   :class:`~repro.sim.engine.EventSignal` (spawn/resume overhead);
 * ``link_greedy``      — :class:`~repro.noc.link.SlicedLink` greedy slice
@@ -28,14 +27,16 @@ Each kernel isolates one simulator hot path:
   operating-point grid — the post-run accounting cost every smarco/
   compare run now pays, measured in isolation.
 
-Whole runs (the Fig 17 single-core rig, a full chip, a cached warm
-sweep) are measured by the outside-in benchmark in ``bench/``
-(``tcg-kmp``, ``chip64-ocean``, ``sweep-mixed``); their fixed-seed
-digests are pinned in ``tests/perf/test_golden_digest.py``.
+The kernels isolate a path for timing and profiling; nothing records or
+judges their numbers.  Whole runs (the Fig 17 single-core rig, a full
+chip, a cached warm sweep) are recorded and judged by the outside-in
+benchmark in ``bench/`` (``tcg-kmp``, ``chip64-ocean``,
+``sweep-mixed``); their fixed-seed digests are pinned in
+``tests/perf/test_golden_digest.py``.
 
 Kernels are deterministic: fixed seeds, no wall-clock feedback into the
 simulation — so their *results* (events, units, digests) are identical
-run-to-run and the only thing that moves between BENCH records is time.
+run-to-run and the only thing that moves between two runs is time.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ __all__ = [
     "result_digest",
 ]
 
-#: per-kernel workload knobs for each suite size; ``tiny`` is the CI smoke
-#: setting (sub-second suite), ``default`` the one the perf trajectory and
+#: per-kernel workload knobs for each suite size; ``tiny`` is a
+#: sub-second suite for tests, ``default`` the one profiling and
 #: optimization work use.
 SIZES: Dict[str, Dict[str, Dict[str, int]]] = {
     "tiny": {
@@ -70,17 +71,6 @@ SIZES: Dict[str, Dict[str, Dict[str, int]]] = {
         "sched_assign": {"tasks": 400},
         "traffic_arrivals": {"requests": 2_000, "chips": 2},
         "energy_accounting": {"rounds": 20},
-    },
-    "small": {
-        "engine_churn": {"events": 200_000, "chains": 16},
-        "process_signal": {"rounds": 20_000, "pairs": 8},
-        "link_greedy": {"reservations": 100_000},
-        "ring_saturation": {"packets": 8_000},
-        "hierring_saturation": {"packets": 3_000},
-        "mact_batching": {"requests": 50_000},
-        "sched_assign": {"tasks": 3_000},
-        "traffic_arrivals": {"requests": 20_000, "chips": 4},
-        "energy_accounting": {"rounds": 200},
     },
     "default": {
         "engine_churn": {"events": 1_000_000, "chains": 32},
@@ -415,7 +405,7 @@ def _k_traffic_arrivals(params: Dict[str, int]) -> Dict[str, Any]:
     Bursty arrivals at rho 0.9 through the subring-aware balancer into
     ``chips`` queueing servers, every latency folded through the
     streaming quantile sketch (the reservoir path engages above its
-    8192-sample capacity, i.e. in the small/default sizes).  Injected
+    8192-sample capacity, i.e. in the default size).  Injected
     synthetic calibration keeps the kernel free of chip-simulation time:
     it measures the traffic tier alone.  The digest pins the full result
     record, so any change to arrivals, routing, service sampling or the

@@ -13,32 +13,24 @@ import io
 import pstats
 from typing import Any, Dict, Tuple
 
-from ..errors import ConfigError
-from .kernels import KERNELS, SIZES
+from .kernels import run_kernel
 
 __all__ = ["profile_kernel"]
 
 
-def profile_kernel(name: str, size: str = "small",
+def profile_kernel(name: str, size: str = "default",
                    top: int = 20) -> Tuple[Dict[str, Any], str]:
     """Run ``name`` once under cProfile.
 
     Returns ``(kernel_result, report_text)`` where the report holds the
     ``top`` functions sorted by cumulative time and again by internal
-    (self) time.
+    (self) time.  An unknown kernel or size raises
+    :class:`~repro.errors.ConfigError` from :func:`run_kernel`.
     """
-    if name not in KERNELS:
-        raise ConfigError(f"unknown perf kernel {name!r} "
-                          f"(have: {', '.join(KERNELS)})")
-    if size not in SIZES:
-        raise ConfigError(f"unknown suite size {size!r} "
-                          f"(have: {', '.join(SIZES)})")
-    params = dict(SIZES[size][name])
-    fn = KERNELS[name]
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        result = fn(params)
+        result = run_kernel(name, size=size, repeat=1)
     finally:
         profiler.disable()
 

@@ -122,3 +122,12 @@ class TestWorkerResolution:
                           match=f"REPRO_WORKERS='{raw}'") as seen:
             assert resolve_workers(None) == 1
         assert len(seen) == 1
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_non_positive_argument_is_serial_and_warns(self, workers,
+                                                       monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "4")
+        with pytest.warns(RuntimeWarning,
+                          match=f"workers={workers} ") as seen:
+            assert resolve_workers(workers) == 1
+        assert len(seen) == 1

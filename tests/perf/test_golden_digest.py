@@ -87,8 +87,9 @@ class TestKernelDiscipline:
             run_kernel("engine_churn", size="tiny", repeat=0)
 
     def test_every_kernel_runs_at_tiny(self):
-        # the CI smoke size must cover the full registry
+        # the tiny size covers the full registry, and repeat=2 runs
+        # run_kernel's cross-repeat determinism check on every kernel
         for name in KERNELS:
-            record = run_kernel(name, size="tiny", repeat=1)
+            record = run_kernel(name, size="tiny", repeat=2)
             assert record["units"] > 0, name
             assert "unit" in record

@@ -124,6 +124,35 @@ def test_unknown_workload_raises():
         main(["run", "doom"])
 
 
+def test_perf_prints_the_suite_and_writes_nothing(tmp_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["perf", "--size", "tiny", "--repeat", "1",
+                 "--kernels", "engine_churn", "link_greedy"]) == 0
+    out = capsys.readouterr().out
+    assert "perf suite [tiny] x1" in out
+    assert "engine_churn" in out and "link_greedy" in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_perf_profile_prints_both_tables(capsys):
+    assert main(["perf", "--profile", "engine_churn", "--size", "tiny",
+                 "--top", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "engine_churn [tiny] by cumulative time" in out
+    assert "engine_churn [tiny] by internal time" in out
+
+
+@pytest.mark.parametrize("args", [["--repeat", "0"],
+                                  ["--kernels", "warp_drive"],
+                                  ["--profile", "warp_drive"]])
+def test_perf_config_errors_exit_1(args, capsys):
+    assert main(["perf", "--size", "tiny", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
