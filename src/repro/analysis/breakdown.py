@@ -4,10 +4,9 @@ The chip records every completed traced request into a
 :class:`LatencyBreakdown`: each closed hop lands in a per-component
 accumulator (``<component>.hop.<stage>``) and histogram
 (``<component>.hophist.<stage>``) registered in the chip's root stats
-registry, so the breakdown flows into ``RunOutcome.stats`` (nested by
-component path by ``RunOutcome.stats_tree()``) like every other stat.
-:func:`rows_from_stats` inverts those key names back into rows for the
-CLI's ``report --breakdown`` view.
+registry, so the breakdown flows into ``RunOutcome.stats`` like every
+other stat.  :func:`rows_from_stats` inverts those key names back into
+rows for the CLI's ``report --breakdown`` view.
 """
 
 from __future__ import annotations
@@ -104,14 +103,6 @@ class LatencyBreakdown:
             self._accs[key] = self.registry.accumulator(key)
             self._hists[key] = self.registry.histogram(
                 f"{component}{_HIST_MARK}{stage}", self.edges)
-
-    def rows(self) -> List[BreakdownRow]:
-        out = []
-        for key, acc in self._accs.items():
-            component, stage = key.split(_HOP_MARK, 1)
-            out.append(BreakdownRow(component, stage, acc.count, acc.mean))
-        out.sort(key=lambda r: r.total, reverse=True)
-        return out
 
 
 def rows_from_stats(flat_stats: Mapping[str, float]) -> List[BreakdownRow]:

@@ -125,8 +125,9 @@ class ComparisonResult(DictResult):
 class RunOutcome:
     """What :func:`execute` returns: the result plus the stats dump.
 
-    ``stats`` is the flat registry dump; :meth:`stats_tree` nests it by
-    component path.  ``components`` is the simulated system's component
+    ``stats`` is the flat registry dump
+    (:func:`repro.sim.stats.nest_flat_stats` nests it by component
+    path).  ``components`` is the simulated system's component
     tree (:meth:`repro.sim.Component.tree_dict`) so per-run telemetry
     records exactly what was wired to what.
     """
@@ -143,12 +144,6 @@ class RunOutcome:
     #: kinds without chip activity counters.  Observation-only: excluded
     #: from the pinned golden digests, which hash result + stats alone.
     energy: Optional[Dict[str, Any]] = None
-
-    def stats_tree(self) -> Dict[str, Any]:
-        """The flat stats dump nested by dotted component path."""
-        from ..sim.stats import nest_flat_stats
-
-        return nest_flat_stats(self.stats)
 
     def to_dict(self) -> Dict[str, Any]:
         return {

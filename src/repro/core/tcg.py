@@ -108,7 +108,6 @@ class _SlotEngine:
                 if self.prev is not None and thread is not self.prev:
                     thread.switches += 1
                     core.switch_count.inc()
-                    core._emit("switch", thread)
                     sim.schedule(core.config.thread_switch_latency,
                                  self._step, None)
                     return
@@ -192,7 +191,6 @@ class _SlotEngine:
         thread = self.thread
         thread.block()
         thread.blocked_at = core.sim.now
-        core._emit("block", thread)
         signal = core.port.issue(blocking)
         # the chip may have attached a trace during issue
         thread.resume_trace = blocking.trace
@@ -224,7 +222,6 @@ class TCGCore(Component):
         realtime_fraction: float = 0.0,
         rng=None,
         registry: Optional[StatsRegistry] = None,
-        trace=None,
         parent: Optional[Component] = None,
         name: Optional[str] = None,
     ) -> None:
@@ -233,8 +230,7 @@ class TCGCore(Component):
         if realtime_fraction and rng is None:
             raise ConfigError("realtime_fraction needs an rng")
         super().__init__(name if name is not None else f"core{core_id}",
-                         parent=parent, sim=sim, registry=registry,
-                         trace=trace)
+                         parent=parent, sim=sim, registry=registry)
         self.core_id = core_id
         self.mem_req = self.out_port(
             "mem_req", MemRequest, optional=port is not None,
@@ -401,16 +397,11 @@ class TCGCore(Component):
         else:
             self._slot_wake[slot_id].fire()
 
-    def _emit(self, event: str, thread: HardwareThread) -> None:
-        if self.trace is not None:
-            self.trace.emit(self.sim.now, self.path, event, thread.name)
-
     def _data_returned(self, thread: HardwareThread, slot_id: int,
                        _payload=None) -> None:
         thread.unblock()
         thread.ready_at = self.sim.now
         self.park_cycles.add(self.sim.now - thread.blocked_at)
-        self._emit("wake", thread)
         self._wake_slot(slot_id)
 
     def _maybe_finish(self) -> None:

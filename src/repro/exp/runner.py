@@ -30,8 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..chip.run import RunOutcome, execute
 from ..chip.session import RunSession
 from ..sim.checkpoint import save_checkpoint
-# unused here since records stopped storing a nested stats copy, but the
-# outside-in benchmark's tracer (bench/trace.py) still patches this name
+# unused here, but bench/trace.py ENTRY_POINTS patches it (KeyError without)
 from ..sim.stats import nest_flat_stats  # noqa: F401
 from .cache import HIT_KINDS, ResultCache, code_version, request_key
 from .request import RunRequest, request_from_snapshot

@@ -50,12 +50,6 @@ class RunRecord:
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
 
-    def breakdown_rows(self) -> List[Any]:
-        """Per-stage latency rows recovered from this run's flat stats."""
-        from ..analysis.breakdown import rows_from_stats
-
-        return rows_from_stats(self.stats)
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunRecord":
         names = {f.name for f in dataclasses.fields(cls)}

@@ -1,35 +1,23 @@
-"""Library of assembly kernels used by tests, examples, and workloads.
+"""The KMP string-search kernel in the tiny ISA.
 
-Each kernel documents its calling convention (which registers hold inputs
-and outputs, where data lives in memory).  Helper functions stage data into
-a :class:`~repro.isa.machine.FlatMemory`.  These kernels are small versions
-of the inner loops of the paper's six HTC micro-benchmarks — KMP string
-matching, counting (WordCount), key comparison (TeraSort), and distance
-accumulation (K-means) — so the timing model can be driven by genuine
-instruction streams.
+The kernel documents its calling convention (which registers hold inputs
+and outputs, where data lives in memory); :func:`load_words` stages its
+failure table into a :class:`~repro.isa.machine.FlatMemory`.  It is the
+inner loop of the paper's KMP micro-benchmark, so the timing model can be
+driven by a genuine instruction stream (``examples/isa_on_tcg.py``), and
+it cross-checks the Python KMP in :mod:`repro.workloads.kmp`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 from .assembler import Program, assemble
-from .machine import FlatMemory, Machine
+from .machine import FlatMemory
 
-__all__ = [
-    "load_words",
-    "read_words",
-    "sum_array_program",
-    "memcpy_program",
-    "histogram_program",
-    "kmp_search_program",
-    "kmp_failure_table",
-    "dot_product_program",
-    "strchr_count_program",
-    "fibonacci_program",
-]
+__all__ = ["load_words", "kmp_search_program", "kmp_failure_table"]
 
-WORD = 8  # the kernels operate on 64-bit words unless stated otherwise
+WORD = 8  # the failure table holds 64-bit words
 
 
 def load_words(memory: FlatMemory, addr: int, values: Iterable[int]) -> int:
@@ -39,79 +27,6 @@ def load_words(memory: FlatMemory, addr: int, values: Iterable[int]) -> int:
         memory.write(addr + i * WORD, value & ((1 << 64) - 1), WORD)
         count += 1
     return count * WORD
-
-
-def read_words(memory: FlatMemory, addr: int, count: int) -> List[int]:
-    """Read ``count`` consecutive 64-bit words (unsigned)."""
-    return [memory.read(addr + i * WORD, WORD) for i in range(count)]
-
-
-def sum_array_program() -> Program:
-    """Sum ``r2`` 64-bit words starting at address ``r1``; result in ``r3``."""
-    return assemble(
-        """
-        # r1 = base, r2 = count, r3 = accumulator, r4 = end address
-        slli r4, r2, 3
-        add  r4, r4, r1
-        addi r3, r0, 0
-    loop:
-        bge  r1, r4, done
-        ld   r5, 0(r1)
-        add  r3, r3, r5
-        addi r1, r1, 8
-        jal  r0, loop
-    done:
-        halt
-        """,
-        name="sum_array",
-    )
-
-
-def memcpy_program() -> Program:
-    """Copy ``r3`` bytes from ``r1`` to ``r2`` (byte loop)."""
-    return assemble(
-        """
-        # r1 = src, r2 = dst, r3 = len
-        addi r4, r0, 0
-    loop:
-        bge  r4, r3, done
-        add  r5, r1, r4
-        lb   r6, 0(r5)
-        add  r7, r2, r4
-        sb   r6, 0(r7)
-        addi r4, r4, 1
-        jal  r0, loop
-    done:
-        halt
-        """,
-        name="memcpy",
-    )
-
-
-def histogram_program() -> Program:
-    """Byte-value histogram: counts ``r2`` bytes at ``r1`` into 256 64-bit
-    buckets at ``r3`` (WordCount's counting inner loop)."""
-    return assemble(
-        """
-        # r1 = data, r2 = len, r3 = buckets (256 x 8B, zeroed)
-        addi r4, r0, 0
-    loop:
-        bge  r4, r2, done
-        add  r5, r1, r4
-        lb   r6, 0(r5)
-        andi r6, r6, 255
-        slli r6, r6, 3
-        add  r6, r6, r3
-        ld   r7, 0(r6)
-        addi r7, r7, 1
-        sd   r7, 0(r6)
-        addi r4, r4, 1
-        jal  r0, loop
-    done:
-        halt
-        """,
-        name="histogram",
-    )
 
 
 def kmp_failure_table(pattern: bytes) -> List[int]:
@@ -172,74 +87,4 @@ def kmp_search_program() -> Program:
         halt
         """,
         name="kmp_search",
-    )
-
-
-def dot_product_program() -> Program:
-    """Dot product of two ``r3``-element word vectors at ``r1``/``r2``;
-    result in ``r10`` (K-means distance accumulation kernel)."""
-    return assemble(
-        """
-        addi r4, r0, 0
-        addi r10, r0, 0
-    loop:
-        bge  r4, r3, done
-        slli r5, r4, 3
-        add  r6, r1, r5
-        ld   r7, 0(r6)
-        add  r6, r2, r5
-        ld   r8, 0(r6)
-        mul  r7, r7, r8
-        add  r10, r10, r7
-        addi r4, r4, 1
-        jal  r0, loop
-    done:
-        halt
-        """,
-        name="dot_product",
-    )
-
-
-def strchr_count_program() -> Program:
-    """Count occurrences of byte ``r3`` in ``r2`` bytes at ``r1``;
-    result in ``r10`` (Search's term-scan primitive)."""
-    return assemble(
-        """
-        addi r4, r0, 0
-        addi r10, r0, 0
-    loop:
-        bge  r4, r2, done
-        add  r5, r1, r4
-        lb   r6, 0(r5)
-        addi r4, r4, 1
-        bne  r6, r3, loop
-        addi r10, r10, 1
-        jal  r0, loop
-    done:
-        halt
-        """,
-        name="strchr_count",
-    )
-
-
-def fibonacci_program() -> Program:
-    """Iterative Fibonacci of ``r1``; result in ``r10``.  Pure-ALU control
-    benchmark (no memory traffic) used to test pipelines without misses."""
-    return assemble(
-        """
-        addi r2, r0, 0          # a
-        addi r3, r0, 1          # b
-        addi r4, r0, 0          # i
-    loop:
-        bge  r4, r1, done
-        add  r5, r2, r3
-        add  r2, r0, r3
-        add  r3, r0, r5
-        addi r4, r4, 1
-        jal  r0, loop
-    done:
-        add  r10, r0, r2
-        halt
-        """,
-        name="fibonacci",
     )

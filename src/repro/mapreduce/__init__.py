@@ -7,7 +7,6 @@ from .framework import (
     StageTiming,
     TaskPlacement,
 )
-from .pthreads import SpawnedThread, ThreadApi
 from .slicing import slice_sequence, slice_text, slices_for_chip
 from .staged import StagedMapReduce, StagedResult
 
@@ -17,8 +16,6 @@ __all__ = [
     "MapReduceResult",
     "TaskPlacement",
     "StageTiming",
-    "ThreadApi",
-    "SpawnedThread",
     "StagedMapReduce",
     "StagedResult",
     "slice_sequence",

@@ -13,7 +13,6 @@ from ..config import XeonConfig
 from ..sim.component import Component
 from ..sim.stats import StatsRegistry
 from .cache import Cache
-from .request import MemRequest
 
 __all__ = ["HierarchyResult", "CacheHierarchy"]
 
@@ -98,34 +97,6 @@ class CacheHierarchy(Component):
         if self.llc.access(addr, is_write).hit:
             return HierarchyResult("LLC", cfg.llc_hit_latency, False)
         return HierarchyResult("MEM", cfg.dram_latency, False)
-
-    def access_traced(self, addr: int, request: MemRequest, now: float,
-                      is_write: bool = False,
-                      is_instruction: bool = False) -> HierarchyResult:
-        """:meth:`access`, plus per-level hop attribution on the request.
-
-        Each probed level gets one closed hop whose duration is that
-        level's marginal latency contribution, so the walk's hops sum to
-        the returned total latency.
-        """
-        cfg = self.config
-        result = self.access(addr, is_write, is_instruction)
-        trace = request.trace
-        if trace is None:
-            return result
-        l1 = self.l1i if is_instruction else self.l1d
-        boundaries = [("cache", f"{self.path}.{l1.name}", cfg.l1_hit_latency)]
-        if result.level != "L1":
-            boundaries.append(("cache", f"{self.path}.l2", cfg.l2_hit_latency))
-        if result.level in ("LLC", "MEM"):
-            boundaries.append(("cache", f"{self.path}.llc", cfg.llc_hit_latency))
-        if result.level == "MEM":
-            boundaries.append(("dram", f"{self.path}.mem", cfg.dram_latency))
-        prev = 0.0
-        for stage, component, cumulative in boundaries:
-            trace.stamp(stage, component, now + prev, now + cumulative)
-            prev = cumulative
-        return result
 
     def miss_ratios(self) -> Dict[str, float]:
         """Per-level miss ratios {L1, L2, LLC} (L1 = data side)."""

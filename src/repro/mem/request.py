@@ -81,8 +81,8 @@ class HopTrace:
       the currently open hop at ``now`` and opens the next one, so the
       records tile ``[issue, finish]`` with no gaps or overlaps;
     * :meth:`stamp` — appends one already-closed record; used for
-      out-of-band segments (post-completion resume wait, DMA legs,
-      cache-walk attribution) that are not part of the chain.
+      out-of-band segments (post-completion resume wait, DMA legs) that
+      are not part of the chain.
     """
 
     __slots__ = ("hops",)

@@ -1,4 +1,4 @@
-"""Discrete-event simulation kernel: engine, components, stats, RNG, tracing."""
+"""Discrete-event simulation kernel: engine, components, stats, RNG, checkpoints."""
 
 from .checkpoint import (FORMAT_VERSION, Checkpoint, SnapshotScope,
                          load_checkpoint, save_checkpoint)
@@ -9,7 +9,6 @@ from .snapshot import register_snapshot_class, snapshotable
 from .rng import RngTree, derive_seed
 from .stats import (Accumulator, Counter, Histogram, StatsRegistry,
                     StatsScope, TimeWeighted, nest_flat_stats)
-from .trace import TraceBuffer, TraceRecord
 
 __all__ = [
     "Simulator",
@@ -29,8 +28,6 @@ __all__ = [
     "StatsRegistry",
     "StatsScope",
     "nest_flat_stats",
-    "TraceBuffer",
-    "TraceRecord",
     "Auditor",
     "Violation",
     "Checkpoint",

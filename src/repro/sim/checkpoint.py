@@ -4,8 +4,8 @@ A :class:`Checkpoint` is the durable form of one simulated system frozen
 at one cycle: a format version, the code digest of the writing process, a
 hash of the component-tree *schema* (paths, classes, anchors, signals,
 stat names), the request snapshot that built the system, and the encoded
-state body (per-path component state, kernel queues, RNG streams, stats,
-traces) produced by :mod:`repro.sim.snapshot`.
+state body (per-path component state, kernel queues, RNG streams, stats)
+produced by :mod:`repro.sim.snapshot`.
 
 Restores are strict by design: a checkpoint only loads into a system
 whose rebuilt schema hashes identically (:class:`CheckpointSchemaError`
@@ -15,7 +15,7 @@ The alternative, best-effort partial restores, silently corrupts
 simulations; bit-identical resume is the whole contract.
 
 :class:`SnapshotScope` gathers the pieces a run session exposes (sim,
-component roots, RNG tree, stats registry, trace buffer, extra anchors)
+component roots, RNG tree, stats registry, extra anchors)
 and drives capture/restore through the codec.
 """
 
@@ -36,7 +36,6 @@ from .engine import Simulator
 from .rng import RngTree
 from .snapshot import SnapshotDecoder, SnapshotEncoder
 from .stats import StatsRegistry
-from .trace import TraceBuffer
 
 __all__ = ["Checkpoint", "SnapshotScope", "FORMAT_VERSION",
            "save_checkpoint", "load_checkpoint"]
@@ -56,14 +55,12 @@ class SnapshotScope:
         roots: Tuple[Component, ...] = (),
         rng: Optional[RngTree] = None,
         registry: Optional[StatsRegistry] = None,
-        trace: Optional[TraceBuffer] = None,
         extra_anchors: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.sim = sim
         self.roots = tuple(roots)
         self.rng = rng
         self.registry = registry
-        self.trace = trace
         self.extra_anchors = dict(extra_anchors or {})
 
     # -- anchors and schema --------------------------------------------------
@@ -117,8 +114,6 @@ class SnapshotScope:
             "stats": (self.registry.state_dict()
                       if self.registry is not None else {}),
             "rng": self.rng.state_dict() if self.rng is not None else None,
-            "trace": (self.trace.state_dict()
-                      if self.trace is not None else None),
             "extra": extra_state or {},
         }
         return encoder.encode(body), encoder.objects
@@ -152,8 +147,6 @@ class SnapshotScope:
                     f"stat set mismatch: {exc.args[0]}") from None
         if self.rng is not None and body["rng"] is not None:
             self.rng.load_state(body["rng"])
-        if self.trace is not None and body["trace"] is not None:
-            self.trace.load_state(body["trace"])
         self.sim.load_state(body["sim"])
         return body["extra"]
 

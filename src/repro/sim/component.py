@@ -6,9 +6,8 @@ that hierarchy a first-class object:
 
 * :class:`Component` — a node in a parent/child tree with a scoped path
   name (``chip.subring3.mact``).  Children inherit the simulator, the
-  :class:`~repro.sim.stats.StatsRegistry` and the trace buffer from their
-  parent, and every stat or trace record a component emits carries its
-  hierarchical path.
+  :class:`~repro.sim.stats.StatsRegistry` from their parent, and every
+  stat a component registers carries its hierarchical path.
 * :class:`Port` / :class:`Wire` — typed, declared connection points
   replacing ad-hoc callables.  An :class:`OutputPort` connects to an
   :class:`InputPort` (fan-in and fan-out both allowed); delivery is a
@@ -37,7 +36,6 @@ from .stats import StatsRegistry, StatsScope
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Simulator
-    from .trace import TraceBuffer
 
 __all__ = ["Component", "Port", "InputPort", "OutputPort", "Wire"]
 
@@ -187,12 +185,11 @@ class Component:
     """A node in the chip's component tree.
 
     A component created with a ``parent`` is adopted into the parent's
-    tree and inherits its simulator, stats registry and trace buffer; a
-    component created without one is a *root* (a whole chip, or a unit
-    under test) and owns a fresh registry unless given one.  Either way,
+    tree and inherits its simulator and stats registry; a component
+    created without one is a *root* (a whole chip, or a unit under test)
+    and owns a fresh registry unless given one.  Either way,
     ``self.stats`` is a :class:`~repro.sim.stats.StatsScope` that
-    registers stats under the component's hierarchical path, and
-    :meth:`emit_trace` stamps trace records with that same path.
+    registers stats under the component's hierarchical path.
     """
 
     def __init__(
@@ -201,7 +198,6 @@ class Component:
         parent: Optional["Component"] = None,
         sim: Optional["Simulator"] = None,
         registry: Optional[StatsRegistry] = None,
-        trace: Optional["TraceBuffer"] = None,
     ) -> None:
         if not name or "." in name or "/" in name:
             raise WiringError(f"bad component name {name!r}")
@@ -214,13 +210,11 @@ class Component:
             self.path = f"{parent.path}.{name}"
             self.sim = sim if sim is not None else parent.sim
             self.registry = registry if registry is not None else parent.registry
-            self.trace = trace if trace is not None else parent.trace
             parent._adopt(self)
         else:
             self.path = name
             self.sim = sim
             self.registry = registry if registry is not None else StatsRegistry()
-            self.trace = trace
         self.stats = StatsScope(self.registry, self.path)
 
     # -- tree structure ------------------------------------------------------
@@ -437,14 +431,6 @@ class Component:
         objects by key instead of by value, so a restored reference
         resolves to the rebuilt system's own object."""
         return {}
-
-    # -- scoped tracing --------------------------------------------------------
-
-    def emit_trace(self, event: str, payload: Any = None) -> None:
-        """Record a trace event stamped with this component's path."""
-        if self.trace is not None:
-            now = self.sim.now if self.sim is not None else 0.0
-            self.trace.emit(now, self.path, event, payload)
 
     # -- introspection ---------------------------------------------------------
 

@@ -296,16 +296,6 @@ class StatsRegistry:
             out.update(stat.snapshot())
         return out
 
-    def dump_nested(self) -> Dict[str, object]:
-        """Snapshot as nested dicts keyed by hierarchical path segments.
-
-        ``chip.subring0.mact.requests_in`` becomes
-        ``{"chip": {"subring0": {"mact": {"requests_in": value}}}}`` —
-        the per-component view the experiment telemetry records alongside
-        the flat dump.
-        """
-        return nest_flat_stats(self.dump())
-
     def scope(self, prefix: str) -> "StatsScope":
         """A view of this registry that prefixes every name with ``prefix``."""
         return StatsScope(self, prefix)

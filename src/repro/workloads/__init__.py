@@ -1,6 +1,6 @@
 """Workloads: the six HTC benchmarks, SPLASH2 profiles, and the CDN model."""
 
-from . import kmeans, kmp, rnc, search, terasort, wordcount
+from . import kmp, rnc, wordcount
 from .base import WorkloadProfile, all_profiles, get_profile
 from .cdn import CdnConfig, CdnModel, CdnPoint
 from .profiles import (
@@ -19,9 +19,6 @@ __all__ = [
     "htc_profile_names",
     "splash2_profile_names",
     "wordcount",
-    "terasort",
-    "search",
-    "kmeans",
     "kmp",
     "rnc",
     "CdnModel",

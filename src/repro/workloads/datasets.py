@@ -1,26 +1,20 @@
 """Synthetic dataset generators for the functional benchmark kernels.
 
 The paper drives its benchmarks with real corpora (Phoenix++ inputs,
-Xapian document sets, UMTS traffic).  We have none of those offline, so
-each generator produces a statistically similar synthetic stand-in: Zipf
-word frequencies for text, uniform random keys for sorting, Gaussian
-clusters for K-means, low-entropy alphabets for string matching, and
-Poisson-ish connection events for the RNC.
+UMTS traffic).  We have none of those offline, so each generator produces
+a statistically similar synthetic stand-in: Zipf word frequencies for
+text, low-entropy alphabets for string matching, and Poisson-ish
+connection events for the RNC.
 """
 
 from __future__ import annotations
 
-import math
 import random
-import string
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 __all__ = [
     "synthetic_text",
-    "random_records",
-    "clustered_points",
     "low_entropy_string",
-    "document_corpus",
     "rnc_events",
 ]
 
@@ -39,41 +33,10 @@ def synthetic_text(n_words: int, seed: int = 0) -> str:
     return " ".join(rng.choices(vocab, weights=weights, k=n_words))
 
 
-def random_records(n: int, key_bytes: int = 10, value_bytes: int = 6,
-                   seed: int = 0) -> List[Tuple[bytes, bytes]]:
-    """TeraSort-style (key, value) records with uniform random keys."""
-    rng = random.Random(seed)
-    return [
-        (bytes(rng.randrange(256) for _ in range(key_bytes)),
-         bytes(rng.randrange(256) for _ in range(value_bytes)))
-        for _ in range(n)
-    ]
-
-
-def clustered_points(n: int, dim: int = 2, clusters: int = 4,
-                     spread: float = 0.5, seed: int = 0) -> List[List[float]]:
-    """Gaussian blobs around well-separated centres (K-means input)."""
-    rng = random.Random(seed)
-    centres = [[rng.uniform(-10, 10) for _ in range(dim)] for _ in range(clusters)]
-    points = []
-    for i in range(n):
-        centre = centres[i % clusters]
-        points.append([rng.gauss(c, spread) for c in centre])
-    return points
-
-
 def low_entropy_string(n: int, alphabet: str = "acgt", seed: int = 0) -> str:
     """DNA-like text where short patterns recur (KMP input)."""
     rng = random.Random(seed)
     return "".join(rng.choice(alphabet) for _ in range(n))
-
-
-def document_corpus(n_docs: int, words_per_doc: int = 40,
-                    seed: int = 0) -> List[str]:
-    """Small synthetic document set (Search input)."""
-    rng = random.Random(seed)
-    return [synthetic_text(words_per_doc, seed=rng.randrange(1 << 30))
-            for _ in range(n_docs)]
 
 
 def rnc_events(n: int, mean_gap: float = 400.0, work_range=(60_000, 160_000),

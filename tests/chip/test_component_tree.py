@@ -6,6 +6,7 @@ import inspect
 from repro.chip import SmarCoChip, XeonSystem
 from repro.chip.run import RunRequest, execute
 from repro.config import smarco_scaled
+from repro.sim.stats import nest_flat_stats
 from repro.workloads import get_profile
 
 
@@ -66,7 +67,7 @@ class TestSmarcoTree:
         dump = chip.registry.dump()
         assert dump["chip.subring0.mact.requests_in"] > 0
         assert dump["chip.noc.delivered"] > 0
-        nested = chip.registry.dump_nested()
+        nested = nest_flat_stats(dump)
         assert nested["chip"]["subring0"]["mact"]["requests_in"] == \
             dump["chip.subring0.mact.requests_in"]
 
@@ -102,6 +103,6 @@ class TestRunOutcomeComponents:
         assert outcome.components["name"] == "chip"
         child_names = {c["name"] for c in outcome.components["children"]}
         assert "subring0" in child_names and "noc" in child_names
-        tree = outcome.stats_tree()
+        tree = nest_flat_stats(outcome.stats)
         assert tree["chip"]["noc"]["delivered"] == \
             outcome.stats["chip.noc.delivered"]

@@ -5,7 +5,7 @@ The acceptance properties of the tracing refactor:
 * the advance-chain hops of every traced request tile its lifetime, so
   per-stage durations reconcile exactly with the end-to-end latency;
 * the breakdown flows through the normal stats path (registry dump →
-  ``RunOutcome.stats`` → component-nested ``stats_tree``);
+  ``RunOutcome.stats``, which ``nest_flat_stats`` nests by component);
 * ``trace_sample_rate=0`` (the default) is bit-identical to a traced run
   of the same seed — stamping observes timing, it never alters it.
 """
@@ -22,9 +22,9 @@ from repro.sim.stats import nest_flat_stats
 from repro.workloads import get_profile
 
 #: hops stamped outside the issue→completion chain (post-completion
-#: resume wait, DMA legs, cache-walk attribution) — excluded when
-#: checking that the chain tiles the request lifetime
-OUT_OF_CHAIN = {"resume", "dma_queue", "dma_xfer", "cache"}
+#: resume wait, DMA legs) — excluded when checking that the chain tiles
+#: the request lifetime
+OUT_OF_CHAIN = {"resume", "dma_queue", "dma_xfer"}
 
 
 def traced_chip(rate=1.0, seed=7, realtime_fraction=0.0, workload="kmp",
@@ -79,7 +79,7 @@ class TestHopChainReconciliation:
     def test_breakdown_rows_cover_the_expected_stages(self):
         chip = traced_chip(rate=1.0)
         chip.run()
-        rows = chip.breakdown.rows()
+        rows = rows_from_stats(chip.registry.dump())
         stages = {r.stage for r in rows}
         # memory traffic must at minimum issue, be collected, ride the
         # NoC and hit DRAM

@@ -6,7 +6,6 @@ import pytest
 from repro.chip import SmarCoChip
 from repro.config import smarco_scaled
 from repro.core import CoreInstr
-from repro.mapreduce import ThreadApi
 
 
 def make_chip():
@@ -21,7 +20,6 @@ def spm_loads(chip, requester: int, owner: int, n=10):
 
 
 def run_thread_on(chip, core_id, stream):
-    api = ThreadApi(chip)
     # place explicitly: bypass the balancer by adding directly
     hw = chip.cores[core_id].add_thread(stream, name="probe")
     chip._loaded = True

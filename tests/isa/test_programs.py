@@ -1,67 +1,13 @@
-"""End-to-end tests of the kernel library against Python reference results."""
+"""End-to-end tests of the KMP kernel against a Python reference."""
 
-import random
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa import Machine
 from repro.isa.programs import (
-    dot_product_program,
-    fibonacci_program,
-    histogram_program,
     kmp_failure_table,
     kmp_search_program,
     load_words,
-    memcpy_program,
-    read_words,
-    strchr_count_program,
-    sum_array_program,
 )
-
-
-def test_sum_array():
-    machine = Machine(sum_array_program())
-    values = [3, -1, 10, 7]
-    load_words(machine.memory, 1000, values)
-    machine.write_reg(1, 1000)
-    machine.write_reg(2, len(values))
-    machine.run()
-    assert machine.read_reg(3) == sum(values)
-
-
-@given(st.lists(st.integers(-2**31, 2**31), max_size=50))
-@settings(max_examples=25, deadline=None)
-def test_sum_array_property(values):
-    machine = Machine(sum_array_program())
-    load_words(machine.memory, 4096, values)
-    machine.write_reg(1, 4096)
-    machine.write_reg(2, len(values))
-    machine.run()
-    assert machine.read_reg(3) == sum(values)
-
-
-def test_memcpy():
-    machine = Machine(memcpy_program())
-    machine.memory.write_bytes(100, b"smarco-hpca-2018")
-    machine.write_reg(1, 100)
-    machine.write_reg(2, 500)
-    machine.write_reg(3, 16)
-    machine.run()
-    assert machine.memory.read_bytes(500, 16) == b"smarco-hpca-2018"
-
-
-def test_histogram_matches_python_counts():
-    data = bytes(random.Random(7).randrange(256) for _ in range(300))
-    machine = Machine(histogram_program())
-    machine.memory.write_bytes(0x1000, data)
-    machine.write_reg(1, 0x1000)
-    machine.write_reg(2, len(data))
-    machine.write_reg(3, 0x8000)
-    machine.run()
-    counts = read_words(machine.memory, 0x8000, 256)
-    for byte in range(256):
-        assert counts[byte] == data.count(bytes([byte]))
 
 
 def _kmp_count(text: bytes, pattern: bytes) -> int:
@@ -113,33 +59,3 @@ def test_kmp_matches_reference(text, pattern):
 def test_kmp_failure_table_reference():
     assert kmp_failure_table(b"ababaca") == [0, 0, 1, 2, 3, 0, 1]
     assert kmp_failure_table(b"aaaa") == [0, 1, 2, 3]
-
-
-def test_dot_product():
-    machine = Machine(dot_product_program())
-    xs, ys = [1, 2, 3], [4, -5, 6]
-    load_words(machine.memory, 0x100, xs)
-    load_words(machine.memory, 0x800, ys)
-    machine.write_reg(1, 0x100)
-    machine.write_reg(2, 0x800)
-    machine.write_reg(3, 3)
-    machine.run()
-    assert machine.read_reg(10) == sum(a * b for a, b in zip(xs, ys))
-
-
-def test_strchr_count():
-    machine = Machine(strchr_count_program())
-    machine.memory.write_bytes(0x40, b"mississippi")
-    machine.write_reg(1, 0x40)
-    machine.write_reg(2, 11)
-    machine.write_reg(3, ord("s"))
-    machine.run()
-    assert machine.read_reg(10) == 4
-
-
-@pytest.mark.parametrize("n,expected", [(0, 0), (1, 1), (2, 1), (10, 55)])
-def test_fibonacci(n, expected):
-    machine = Machine(fibonacci_program())
-    machine.write_reg(1, n)
-    machine.run()
-    assert machine.read_reg(10) == expected

@@ -11,8 +11,8 @@ from repro.mapreduce import (
     slice_text,
     slices_for_chip,
 )
-from repro.workloads import kmeans, wordcount
-from repro.workloads.datasets import clustered_points, synthetic_text
+from repro.workloads import wordcount
+from repro.workloads.datasets import synthetic_text
 
 
 class TestSlicing:
@@ -119,23 +119,6 @@ class TestWordcountJob:
         rt = MapReduceRuntime(smarco_scaled(2), simulate_timing=False)
         result = rt.run(self.make_job(), slice_text(text, 2))
         assert result.shuffle_pairs == 4
-
-
-class TestKmeansJob:
-    def test_one_mapreduce_round_equals_lloyd_step(self):
-        points = clustered_points(90, dim=2, clusters=3, seed=8)
-        centroids = [[0.0, 0.0], [3.0, 3.0], [-3.0, 4.0]]
-        job = MapReduceJob("kmeans", kmeans.map_fn, kmeans.reduce_fn)
-        rt = MapReduceRuntime(smarco_scaled(2), simulate_timing=False)
-        chunks = [(chunk, centroids)
-                  for chunk in slice_sequence(points, 6)]
-        result = rt.run(job, chunks)
-        # reference step
-        labels = [kmeans.assign(p, centroids) for p in points]
-        for c, new_centroid in result.output.items():
-            members = [points[i] for i, l in enumerate(labels) if l == c]
-            ref = [sum(p[d] for p in members) / len(members) for d in range(2)]
-            assert new_centroid == pytest.approx(ref)
 
 
 class TestSpmResidency:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import WiringError
 from repro.sim import Component, InputPort, OutputPort, Simulator
-from repro.sim.trace import TraceBuffer
 
 
 class Producer(Component):
@@ -29,14 +28,12 @@ class TestTree:
         assert leaf.root is root
         assert root.child("subring0") is mid
 
-    def test_children_inherit_sim_registry_trace(self):
+    def test_children_inherit_sim_and_registry(self):
         sim = Simulator()
-        trace = TraceBuffer(enabled=True)
-        root = Component("chip", sim=sim, trace=trace)
+        root = Component("chip", sim=sim)
         child = Component("core0", parent=root)
         assert child.sim is sim
         assert child.registry is root.registry
-        assert child.trace is trace
 
     def test_duplicate_child_name_rejected(self):
         root = Component("chip")
@@ -217,18 +214,10 @@ class TestLifecycle:
         assert root.resets == 1 and kid.resets == 1
 
 
-class TestScopedStatsAndTrace:
+class TestScopedStats:
     def test_stats_registered_under_path(self):
         root = Component("chip")
         leaf = Component("mact", parent=Component("subring0", parent=root))
         counter = leaf.stats.counter("requests_in")
         counter.inc(3)
         assert root.registry.dump()["chip.subring0.mact.requests_in"] == 3
-
-    def test_emit_trace_stamps_path(self):
-        trace = TraceBuffer(enabled=True)
-        root = Component("chip", sim=Simulator(), trace=trace)
-        leaf = Component("core0", parent=root)
-        leaf.emit_trace("wake", "t0")
-        rec = list(trace)[0]
-        assert rec.source == "chip.core0" and rec.event == "wake"

@@ -1,15 +1,12 @@
-"""Functional-kernel tests for the six HTC benchmarks."""
+"""Functional-kernel tests for the HTC benchmarks that have one."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import WorkloadError
-from repro.workloads import kmeans, kmp, rnc, search, terasort, wordcount
+from repro.workloads import kmp, rnc, wordcount
 from repro.workloads.datasets import (
-    clustered_points,
-    document_corpus,
     low_entropy_string,
-    random_records,
     rnc_events,
     synthetic_text,
 )
@@ -27,107 +24,6 @@ class TestWordcount:
             grouped.setdefault(word, []).append(one)
         reduced = dict(wordcount.reduce_fn(w, vs) for w, vs in grouped.items())
         assert reduced == wordcount.wordcount(text)
-
-
-class TestTerasort:
-    def test_sorts(self):
-        records = random_records(200, seed=2)
-        out = terasort.terasort(records, partitions=4)
-        assert [r[0] for r in out] == sorted(r[0] for r in records)
-        assert len(out) == len(records)
-
-    def test_single_partition(self):
-        records = random_records(50, seed=3)
-        assert terasort.terasort(records, partitions=1) == sorted(
-            records, key=lambda r: r[0])
-
-    def test_partition_of_respects_splitters(self):
-        splitters = [b"b", b"m"]
-        assert terasort.partition_of(b"a", splitters) == 0
-        assert terasort.partition_of(b"c", splitters) == 1
-        assert terasort.partition_of(b"z", splitters) == 2
-
-    def test_bad_partitions(self):
-        with pytest.raises(WorkloadError):
-            terasort.sample_splitters([], 0)
-
-    @given(st.lists(st.binary(min_size=1, max_size=6), min_size=1, max_size=80),
-           st.integers(1, 8))
-    @settings(max_examples=30, deadline=None)
-    def test_property_sorted_and_permutation(self, keys, partitions):
-        records = [(k, b"v") for k in keys]
-        out = terasort.terasort(records, partitions)
-        assert [r[0] for r in out] == sorted(keys)
-
-
-class TestSearch:
-    def make_index(self):
-        index = search.SearchIndex()
-        index.add_document(0, "cloud server cloud")
-        index.add_document(1, "video photo server")
-        index.add_document(2, "cloud")
-        return index
-
-    def test_query_ranks_by_tfidf(self):
-        index = self.make_index()
-        ranked = index.query("cloud")
-        ids = [doc for doc, _ in ranked]
-        assert set(ids) == {0, 2}
-        assert ids[0] == 2            # doc 2 is 100% 'cloud'
-
-    def test_missing_term(self):
-        assert self.make_index().query("nosuchterm") == []
-
-    def test_duplicate_doc_rejected(self):
-        index = self.make_index()
-        with pytest.raises(WorkloadError):
-            index.add_document(0, "again")
-
-    def test_df(self):
-        index = self.make_index()
-        assert index.df("cloud") == 2 and index.df("photo") == 1
-
-    def test_corpus_scale(self):
-        index = search.SearchIndex()
-        for i, doc in enumerate(document_corpus(30, seed=4)):
-            index.add_document(i, doc)
-        assert index.num_documents == 30
-        results = index.query("data0 cloud1")
-        assert all(isinstance(d, int) for d, _ in results)
-
-
-class TestKmeans:
-    def test_recovers_separated_clusters(self):
-        points = clustered_points(120, dim=2, clusters=3, spread=0.2, seed=5)
-        centroids, labels = kmeans.kmeans(points, k=3, iterations=20)
-        assert len(centroids) == 3
-        # points generated round-robin: same-cluster points share labels
-        for base in range(3):
-            group = {labels[i] for i in range(base, 120, 3)}
-            assert len(group) == 1
-
-    def test_assign_nearest(self):
-        assert kmeans.assign([0, 0], [[5, 5], [0, 1]]) == 1
-
-    def test_invalid_k(self):
-        with pytest.raises(WorkloadError):
-            kmeans.kmeans([[1, 2]], k=5)
-
-    def test_mapreduce_round_matches_lloyd_step(self):
-        points = clustered_points(60, dim=2, clusters=2, seed=6)
-        centroids = [[0.0, 0.0], [1.0, 1.0]]
-        pairs = kmeans.map_fn((points, centroids))
-        grouped = {}
-        for c, partial in pairs:
-            grouped.setdefault(c, []).append(partial)
-        new = {c: kmeans.reduce_fn(c, partials)[1]
-               for c, partials in grouped.items()}
-        # reference step
-        labels = [kmeans.assign(p, centroids) for p in points]
-        for c in new:
-            members = [points[i] for i, l in enumerate(labels) if l == c]
-            ref = [sum(p[d] for p in members) / len(members) for d in range(2)]
-            assert new[c] == pytest.approx(ref)
 
 
 class TestKmp:
@@ -222,11 +118,6 @@ class TestDatasets:
     def test_synthetic_text_deterministic(self):
         assert synthetic_text(50, seed=1) == synthetic_text(50, seed=1)
         assert synthetic_text(50, seed=1) != synthetic_text(50, seed=2)
-
-    def test_record_shapes(self):
-        records = random_records(10, key_bytes=10, value_bytes=6, seed=1)
-        assert len(records) == 10
-        assert all(len(k) == 10 and len(v) == 6 for k, v in records)
 
     def test_rnc_events_monotone_arrivals(self):
         events = rnc_events(50, seed=1)
