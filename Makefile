@@ -49,9 +49,9 @@ bench-check:
 # energy-annotated compare; three cached sweeps (a warm-started sched
 # horizon sweep, an arrival x load traffic sweep, a dvfs x node compare
 # sweep), each run twice so the replay must take every point from the
-# cache; the six examples/*.py scripts; and the Fig 17/19 benches, which
-# rewrite their committed outputs under benchmarks/results/ (CI then
-# requires them unchanged).
+# cache; and the Fig 17/19 benches, which rewrite their committed outputs
+# under benchmarks/results/ (CI then requires them unchanged).  The six
+# examples/*.py run in `make test` (tests/integration/test_examples.py).
 # Simulator speed is judged by bench/ (see bench/README.md), not here.
 SMOKE_OUT = results/smoke
 SMOKE_SWEEPS = \
@@ -82,11 +82,6 @@ smoke:
 		cat $(SMOKE_OUT)/replay.out; \
 		grep -Eq '^([0-9]+) points \| \1 cache hits' \
 			$(SMOKE_OUT)/replay.out || exit 1; \
-	done
-	for ex in examples/*.py; do \
-		echo "$$ex"; \
-		$(PYTHON) $$ex > $(SMOKE_OUT)/example.out \
-			|| { cat $(SMOKE_OUT)/example.out; exit 1; }; \
 	done
 	REPRO_WORKERS=$(REPRO_WORKERS) $(PYTHON) -m pytest -q -p no:cacheprovider \
 		benchmarks -k "fig17 or fig19"

@@ -378,7 +378,7 @@ class SmarCoChip(Component):
         self._loaded = False
         self._started = False
         self._shared_code = False
-        self._code_payload = b""
+        self._code_segment_bytes = 0
         self._audit = None              # set by attach_audit
         self.elaborate()
 
@@ -524,10 +524,9 @@ class SmarCoChip(Component):
         self._loaded = True
         self._shared_code = shared_code
         if shared_code:
-            segment_bytes = min(profile.code_footprint_bytes,
-                                self.config.tcg.spm_bytes
-                                - self.config.tcg.spm_control_bytes)
-            self._code_payload = bytes(segment_bytes)
+            self._code_segment_bytes = min(
+                profile.code_footprint_bytes,
+                self.config.tcg.spm_bytes - self.config.tcg.spm_control_bytes)
             code_pcs = max(1, profile.code_footprint_bytes // 4)
             for core in self.cores:
                 core.set_shared_segment(0, code_pcs)
@@ -564,7 +563,7 @@ class SmarCoChip(Component):
             return
         self._started = True
         active = [core for core in self.cores if core.threads]
-        if self._shared_code and self._code_payload:
+        if self._shared_code and self._code_segment_bytes:
             # §3.1.2: ONE segment per sub-ring is DMA-staged into SPM and
             # shared among the neighbouring threads (the scheduler's job
             # in the paper); the ring's cores start when it lands.
@@ -574,7 +573,7 @@ class SmarCoChip(Component):
             for ring, cores in by_ring.items():
                 spm = self.spms[cores[0].core_id]
                 proc = self.dmas[ring].prefetch_fill(
-                    spm, spm.base_addr, self._code_payload)
+                    spm, spm.base_addr, self._code_segment_bytes)
                 proc.done_signal.wait(
                     functools.partial(self._start_ring_cores, tuple(cores)))
         else:
@@ -622,7 +621,7 @@ class SmarCoChip(Component):
             "loaded": self._loaded,
             "started": self._started,
             "shared_code": self._shared_code,
-            "code_payload": self._code_payload,
+            "code_segment_bytes": self._code_segment_bytes,
             "sampler": self._trace_sampler,
             "breakdown": self.breakdown.state_dict(),
         }
@@ -631,6 +630,6 @@ class SmarCoChip(Component):
         self._loaded = state["loaded"]
         self._started = state["started"]
         self._shared_code = state["shared_code"]
-        self._code_payload = state["code_payload"]
+        self._code_segment_bytes = state["code_segment_bytes"]
         self._trace_sampler = state["sampler"]
         self.breakdown.load_state(state["breakdown"])

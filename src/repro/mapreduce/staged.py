@@ -187,7 +187,7 @@ class StagedMapReduce:
                 spm.data_bytes,
             )
             proc = chip.dmas[ring].prefetch_fill(
-                spm, spm.base_addr, bytes(max(1, payload_bytes)))
+                spm, spm.base_addr, max(1, payload_bytes))
             proc.done_signal.wait(
                 lambda _p, c=chip.cores[core_id]: c.start())
             staging_procs.append(proc)

@@ -117,10 +117,6 @@ class MemorySystem(Component):
         index = (addr // INTERLEAVE_BYTES) % len(self.controllers)
         return self.controllers[index]
 
-    def submit(self, request: MemRequest,
-               carried: Sequence[MemRequest] = ()) -> float:
-        return self.controller_for(request.addr).submit(request, carried)
-
     @property
     def total_requests(self) -> int:
         return sum(mc.queued.value for mc in self.controllers)

@@ -1,17 +1,17 @@
 """DMA engine for SPM↔SPM and memory↔SPM bulk transfers (paper §3.5.1).
 
-The paper uses DMA for two things we model:
+The paper uses DMA for two things:
 
-* shared-data movement between neighbouring cores' SPMs on a sub-ring,
-  programmed through the SPM's top-256-byte control window;
+* shared-data movement between neighbouring cores' SPMs on a sub-ring;
 * instruction-segment prefetch into SPM for thread gangs running the same
-  kernel (paper §3.1.2).
+  kernel (paper §3.1.2), which is what the chip and the staged MapReduce
+  model drive through :meth:`DmaEngine.prefetch_fill`.
 
 A transfer runs as an explicit-state flight returning a
-:class:`~repro.sim.engine.Completion`: it reserves the engine, moves data
-at ``bytes_per_cycle``, then fires completion.  Data is *actually copied*
-when both endpoints are Scratchpads, so functional tests can verify
-payloads.
+:class:`~repro.sim.engine.Completion`: it reserves the engine, moves its
+bytes at ``bytes_per_cycle``, then fires completion.  Only the byte
+count travels: a fill is range-checked against the destination SPM and
+counted, and no contents are stored (see :mod:`repro.mem.spm`).
 """
 
 from __future__ import annotations
@@ -31,27 +31,15 @@ __all__ = ["DmaEngine"]
 
 @snapshotable
 class _DmaTransfer:
-    """Explicit-state form of the transfer process (one per copy/fill).
+    """Explicit-state form of the transfer process (one per fill)."""
 
-    ``src`` is None for memory→SPM fills (``payload`` carries the bytes);
-    SPM→SPM copies read ``src`` at completion time, as the old generator
-    did.
-    """
+    __slots__ = ("engine", "dst", "size", "trace", "completion", "phase")
 
-    __slots__ = ("engine", "src", "dst", "src_addr", "dst_addr", "size",
-                 "payload", "trace", "completion", "phase")
-
-    def __init__(self, engine: "DmaEngine", src: Optional[Scratchpad],
-                 dst: Scratchpad, src_addr: int, dst_addr: int, size: int,
-                 payload: Optional[bytes], trace: Optional[HopTrace],
-                 completion: Completion) -> None:
+    def __init__(self, engine: "DmaEngine", dst: Scratchpad, size: int,
+                 trace: Optional[HopTrace], completion: Completion) -> None:
         self.engine = engine
-        self.src = src
         self.dst = dst
-        self.src_addr = src_addr
-        self.dst_addr = dst_addr
         self.size = size
-        self.payload = payload
         self.trace = trace
         self.completion = completion
         self.phase = "reserve"
@@ -73,9 +61,7 @@ class _DmaTransfer:
             self.phase = "move"
             sim.schedule(wait + duration, self._step, None)
             return
-        data = (self.payload if self.payload is not None
-                else self.src.read_bytes(self.src_addr, self.size))
-        self.dst.write_bytes(self.dst_addr, data)
+        self.dst.writes.inc()
         engine.transfers.inc()
         engine.bytes_moved.inc(self.size)
         self.completion.finish(self.size)
@@ -110,51 +96,34 @@ class DmaEngine(Component):
         """Pure transfer time for ``size`` bytes (excluding queueing)."""
         return self.setup_latency + -(-size // self.bytes_per_cycle)
 
-    def copy(
-        self,
-        src: Scratchpad,
-        dst: Scratchpad,
-        src_addr: int,
-        dst_addr: int,
-        size: int,
-        trace: Optional[HopTrace] = None,
-    ) -> Completion:
-        """Start an SPM→SPM copy; returns the transfer handle.
+    def prefetch_fill(self, dst: Scratchpad, dst_addr: int, size: int,
+                      trace: Optional[HopTrace] = None) -> Completion:
+        """Fill ``size`` bytes of ``dst`` from ``dst_addr`` (§3.1.2).
 
-        A caller-supplied ``trace`` gets the transfer's queue and transfer
-        legs stamped as closed ``dma_queue``/``dma_xfer`` records.
+        Main memory is only a byte source here; timing charges the
+        engine bandwidth.  A caller-supplied ``trace`` gets the
+        transfer's queue and transfer legs stamped as closed
+        ``dma_queue``/``dma_xfer`` records.
         """
         if size <= 0:
             raise MemoryError_(f"DMA size must be positive, got {size}")
-        completion = Completion(self.sim, f"{self.name}.copy")
-        transfer = _DmaTransfer(self, src, dst, src_addr, dst_addr, size,
-                                None, trace, completion)
+        dst.check_range(dst_addr, size)
+        completion = Completion(self.sim, f"{self.name}.prefetch")
+        transfer = _DmaTransfer(self, dst, size, trace, completion)
         self.sim.schedule(0, transfer._step, None)
         return completion
 
-    def kick_from_descriptor(self, src: Scratchpad,
-                             dst: Scratchpad) -> Completion:
-        """Start the transfer programmed in ``src``'s control registers.
+    def copy(self, src: Scratchpad, dst: Scratchpad, src_addr: int,
+             dst_addr: int, size: int,
+             trace: Optional[HopTrace] = None) -> Completion:
+        """SPM→SPM copy: a fill of ``dst`` that also reads ``src`` once.
 
-        Models software writing {src, dst, size} into the SPM's top-256-byte
-        window and then kicking the engine.
+        No model path copies between SPMs; this stays because
+        ``bench/trace.py`` names it among the layer entry points.
         """
-        src_addr, dst_addr, size = src.dma_descriptor()
-        return self.copy(src, dst, src_addr, dst_addr, size)
-
-    def prefetch_fill(self, dst: Scratchpad, dst_addr: int, payload: bytes,
-                      trace: Optional[HopTrace] = None) -> Completion:
-        """Memory→SPM fill (instruction-segment prefetch, §3.1.2).
-
-        Main memory is functionally a byte source here; timing charges the
-        same engine bandwidth.
-        """
-        if not payload:
-            raise MemoryError_("prefetch payload must be non-empty")
-        completion = Completion(self.sim, f"{self.name}.prefetch")
-        transfer = _DmaTransfer(self, None, dst, 0, dst_addr, len(payload),
-                                payload, trace, completion)
-        self.sim.schedule(0, transfer._step, None)
+        src.check_range(src_addr, size)
+        completion = self.prefetch_fill(dst, dst_addr, size, trace)
+        src.reads.inc()
         return completion
 
     # -- snapshot protocol -------------------------------------------------------

@@ -10,13 +10,17 @@ Each TCG core owns a 128 KB SPM that is:
   surface as an error;
 * **shared within a sub-ring** — remote SPM accesses travel over the ring,
   bulk transfers use the DMA engine (:mod:`repro.mem.dma`);
-* the top 256 bytes are DMA control registers (source, destination, size,
-  kick).
+* the top 256 bytes hold the DMA control registers.
+
+The model keeps what reaches a result: the window's capacity and
+address range, and counts of the accesses landing in it.  It holds no
+bytes — no result ever reads SPM contents back — so the control window
+is capacity taken out of :attr:`Scratchpad.data_bytes`, not registers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..errors import MemoryError_
 from ..sim.component import Component
@@ -30,15 +34,9 @@ __all__ = ["Scratchpad", "SpmAddressMap", "SPM_REGION_BASE"]
 # address and judge whether to send the requirement to the cache or SPM").
 SPM_REGION_BASE = 0x4000_0000_0000
 
-# DMA control-register offsets inside the top 256-byte window.
-DMA_SRC_OFFSET = 0
-DMA_DST_OFFSET = 8
-DMA_SIZE_OFFSET = 16
-DMA_KICK_OFFSET = 24
-
 
 class Scratchpad(Component):
-    """One core's SPM: data array + control-register window."""
+    """One core's SPM: an address window with access counters."""
 
     def __init__(
         self,
@@ -61,13 +59,9 @@ class Scratchpad(Component):
             base_addr if base_addr is not None
             else SPM_REGION_BASE + core_id * size_bytes
         )
-        self._data = bytearray(size_bytes)
         self.reads = self.stats.counter("reads")
         self.writes = self.stats.counter("writes")
         self.remote_accesses = self.stats.counter("remote_accesses")
-
-    def on_reset(self) -> None:
-        self._data = bytearray(self.size_bytes)
 
     # -- address ranges --------------------------------------------------------
 
@@ -76,48 +70,16 @@ class Scratchpad(Component):
         """Usable data capacity (size minus the control window)."""
         return self.size_bytes - self.control_bytes
 
-    @property
-    def control_base(self) -> int:
-        """First address of the control-register window (top 256 B)."""
-        return self.base_addr + self.size_bytes - self.control_bytes
-
     def contains(self, addr: int) -> bool:
         return self.base_addr <= addr < self.base_addr + self.size_bytes
 
-    def is_control(self, addr: int) -> bool:
-        return self.control_base <= addr < self.base_addr + self.size_bytes
-
-    def _offset(self, addr: int, size: int) -> int:
+    def check_range(self, addr: int, size: int) -> None:
+        """Raise unless ``[addr, addr + size)`` lies inside the window."""
         if not self.contains(addr) or not self.contains(addr + size - 1):
             raise MemoryError_(
                 f"SPM{self.core_id}: access {addr:#x}+{size} outside "
                 f"[{self.base_addr:#x}, {self.base_addr + self.size_bytes:#x})"
             )
-        return addr - self.base_addr
-
-    # -- data access -----------------------------------------------------------
-
-    def read(self, addr: int, size: int) -> int:
-        off = self._offset(addr, size)
-        self.reads.inc()
-        return int.from_bytes(self._data[off:off + size], "little")
-
-    def write(self, addr: int, value: int, size: int) -> None:
-        off = self._offset(addr, size)
-        self.writes.inc()
-        self._data[off:off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
-            size, "little"
-        )
-
-    def read_bytes(self, addr: int, size: int) -> bytes:
-        off = self._offset(addr, size)
-        self.reads.inc()
-        return bytes(self._data[off:off + size])
-
-    def write_bytes(self, addr: int, data: bytes) -> None:
-        off = self._offset(addr, len(data))
-        self.writes.inc()
-        self._data[off:off + len(data)] = data
 
     def serve_remote(self, request: MemRequest, now: float,
                      latency: float) -> float:
@@ -129,36 +91,6 @@ class Scratchpad(Component):
         self.remote_accesses.inc()
         request.trace_advance("spm", self.path, now)
         return latency
-
-    # -- DMA control registers ---------------------------------------------------
-
-    def read_control(self, offset: int) -> int:
-        """Read a 64-bit control register at ``offset`` in the window."""
-        return self.read(self.control_base + offset, 8)
-
-    def write_control(self, offset: int, value: int) -> None:
-        self.write(self.control_base + offset, value, 8)
-
-    def dma_descriptor(self) -> Tuple[int, int, int]:
-        """Current (src, dst, size) programmed into the control window."""
-        return (
-            self.read_control(DMA_SRC_OFFSET),
-            self.read_control(DMA_DST_OFFSET),
-            self.read_control(DMA_SIZE_OFFSET),
-        )
-
-    # -- snapshot protocol ------------------------------------------------------
-
-    def extra_state(self) -> dict:
-        return {"data": self._data}
-
-    def load_extra_state(self, state: dict) -> None:
-        data = state["data"]
-        if len(data) != self.size_bytes:
-            raise MemoryError_(
-                f"SPM{self.core_id}: checkpoint holds {len(data)} bytes, "
-                f"SPM is {self.size_bytes}")
-        self._data = bytearray(data)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Scratchpad(core={self.core_id}, base={self.base_addr:#x})"

@@ -221,7 +221,7 @@ class Simulator:
     """
 
     __slots__ = ("now", "_queue", "_seq", "_running", "events_executed",
-                 "_due", "_due_head", "_signals")
+                 "_due", "_signals")
 
     #: consumed due-lane prefix is garbage-collected past this length
     _DUE_COMPACT = 8192
@@ -234,7 +234,6 @@ class Simulator:
         self.events_executed = 0
         #: zero-delay events due at the current time: (seq, fn, args)
         self._due: List[Tuple[int, Callable, tuple]] = []
-        self._due_head = 0      # consumed prefix of _due
         #: signals created via :meth:`signal`, keyed by a unique name —
         #: the anchor table checkpoints resolve signal references against
         self._signals: dict = {}
@@ -305,7 +304,7 @@ class Simulator:
             "seq": self._seq,
             "events_executed": self.events_executed,
             "queue": list(self._queue),
-            "due": list(self._due[self._due_head:]),
+            "due": list(self._due),
             "signals": {key: {"waiters": list(sig._waiters),
                               "fire_count": sig.fire_count,
                               "last_payload": sig.last_payload}
@@ -325,7 +324,6 @@ class Simulator:
         self.events_executed = state["events_executed"]
         self._queue = [tuple(entry) for entry in state["queue"]]
         self._due = [tuple(entry) for entry in state["due"]]
-        self._due_head = 0
         for key, sig_state in state["signals"].items():
             sig = self._signals.get(key)
             if sig is None:
@@ -337,13 +335,12 @@ class Simulator:
 
     # -- execution ----------------------------------------------------------
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
+    def run(self, until: Optional[float] = None) -> int:
         """Drain the event queue.
 
-        Stops when the queue is empty, when the next event lies beyond
-        ``until`` (the clock is then advanced *to* ``until``), or after
-        ``max_events`` events.  Returns the number of events executed by
-        this call.
+        Stops when the queue is empty or when the next event lies beyond
+        ``until`` (the clock is then advanced *to* ``until``).  Returns
+        the number of events executed by this call.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
@@ -353,15 +350,14 @@ class Simulator:
         # the fast path is observably identical to the general one.
         # Scheduling into the past is impossible, which makes the
         # unconditional clock store in the fast path safe.
-        # ``events_executed`` is folded in once per call; ``step()`` keeps
-        # per-event accounting.
+        # ``events_executed`` is folded in once per call.
         queue = self._queue
         due = self._due
-        due_head = self._due_head
+        due_head = 0            # consumed prefix of ``due``
         pop = heappop
         compact = self._DUE_COMPACT
         try:
-            if until is None and max_events is None:
+            if until is None:
                 # Hot path: drain everything (the overwhelmingly common
                 # call shape).  The executed count falls out of the seq
                 # counter: everything pending or scheduled gets run.
@@ -399,10 +395,7 @@ class Simulator:
                                 - (len(queue) + len(due) - due_head))
             else:
                 while True:
-                    if max_events is not None and executed >= max_events:
-                        break
-                    if (due_head < len(due)
-                            and (until is None or self.now <= until)):
+                    if due_head < len(due) and self.now <= until:
                         if queue:
                             head = queue[0]
                             if (head[0] == self.now
@@ -419,7 +412,7 @@ class Simulator:
                     if not queue:
                         break
                     when = queue[0][0]
-                    if until is not None and when > until:
+                    if when > until:
                         break
                     _w, _sq, fn, args = pop(queue)
                     if when > self.now:
@@ -431,55 +424,13 @@ class Simulator:
         finally:
             if due_head:
                 del due[:due_head]
-            self._due_head = 0
             self.events_executed += executed
             self._running = False
         return executed
 
-    def _step_due(self) -> bool:
-        """Run the head of the due lane (helper for :meth:`step`)."""
-        due = self._due
-        head = self._due_head
-        _sq, fn, args = due[head]
-        self._due_head = head + 1
-        if self._due_head == len(due):
-            del due[:]
-            self._due_head = 0
-        fn(*args)
-        self.events_executed += 1
-        return True
-
-    def step(self) -> bool:
-        """Execute exactly one event.  Returns False if the queue is empty."""
-        queue = self._queue
-        if self._due_head < len(self._due):
-            if queue:
-                head = queue[0]
-                if (head[0] == self.now
-                        and head[1] < self._due[self._due_head][0]):
-                    heappop(queue)
-                    head[2](*head[3])
-                    self.events_executed += 1
-                    return True
-            return self._step_due()
-        if not queue:
-            return False
-        when, _seq, fn, args = heappop(queue)
-        if when > self.now:
-            self.now = when
-        fn(*args)
-        self.events_executed += 1
-        return True
-
-    def peek(self) -> Optional[float]:
-        """Time of the next pending event, or None when idle."""
-        if self._due_head < len(self._due):
-            return self.now
-        return self._queue[0][0] if self._queue else None
-
     def pending(self) -> int:
         """Number of events currently queued."""
-        return len(self._queue) + len(self._due) - self._due_head
+        return len(self._queue) + len(self._due)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self.now}, pending={self.pending()})"

@@ -12,6 +12,7 @@ from repro.chip.session import RunSession
 from repro.config import smarco_scaled
 from repro.exp.request import RunRequest
 from repro.perf.kernels import result_digest
+from repro.workloads.base import get_profile
 
 SMARCO = RunRequest(kind="smarco", workload="kmp", seed=3,
                     smarco_config=smarco_scaled(2), threads_per_core=4,
@@ -68,6 +69,25 @@ def test_restored_session_matches_original_continuation():
     original = result_digest(session.finish())
     assert original == _straight_digest(SCHED)
     assert result_digest(RunSession.restore(ckpt).finish()) == original
+
+
+def test_restore_during_code_staging_dma_matches_straight_run():
+    # shared_code stages one code segment per sub-ring into SPM by DMA
+    # before any core starts; snapshot while that fill is still in flight
+    request = SMARCO.replace(workload="search", seed=4,
+                             smarco_config=smarco_scaled(2, 4),
+                             shared_code=True)
+    tcg = request.smarco_config.tcg
+    segment = min(get_profile("search").code_footprint_bytes,
+                  tcg.spm_bytes - tcg.spm_control_bytes)
+    session = RunSession(request)
+    dma = session.system.dmas[0]
+    cycles = dma.transfer_cycles(segment) // 2
+    session.run_to(cycles)
+    assert dma.transfers.value == 0
+    restored = RunSession.restore(session.checkpoint())
+    assert restored.now == cycles
+    assert result_digest(restored.finish()) == _straight_digest(request)
 
 
 def test_run_cycles_horizon_is_honoured():

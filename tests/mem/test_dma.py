@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import MemoryError_
 from repro.mem import DmaEngine, Scratchpad
-from repro.mem.spm import DMA_DST_OFFSET, DMA_SIZE_OFFSET, DMA_SRC_OFFSET
 from repro.sim import Simulator
 
 
@@ -17,11 +16,11 @@ def make_pair():
 
 def test_copy_moves_payload():
     sim, dma, src, dst = make_pair()
-    src.write_bytes(src.base_addr, b"ring-to-ring")
     proc = dma.copy(src, dst, src.base_addr, dst.base_addr + 64, 12)
     sim.run()
     assert proc.finished and proc.result == 12
-    assert dst.read_bytes(dst.base_addr + 64, 12) == b"ring-to-ring"
+    assert dma.bytes_moved.value == 12
+    assert src.reads.value == 1 and dst.writes.value == 1
 
 
 def test_transfer_time_scales_with_size():
@@ -38,32 +37,31 @@ def test_copy_completion_time():
     assert sim.now == dma.transfer_cycles(64)
 
 
+def test_prefetch_fill_completion_time():
+    sim, dma, _, dst = make_pair()
+    dma.prefetch_fill(dst, dst.base_addr, 64)
+    sim.run()
+    assert sim.now == dma.transfer_cycles(64)
+
+
 def test_engine_serialises_back_to_back_transfers():
-    sim, dma, src, dst = make_pair()
-    dma.copy(src, dst, src.base_addr, dst.base_addr, 32)
-    dma.copy(src, dst, src.base_addr, dst.base_addr + 32, 32)
+    sim, dma, _, dst = make_pair()
+    first = dma.prefetch_fill(dst, dst.base_addr, 32)
+    second = dma.prefetch_fill(dst, dst.base_addr + 32, 32)
+    done = []
+    for proc in (first, second):
+        proc.done_signal.wait(lambda size: done.append(sim.now))
     sim.run()
-    assert sim.now == 2 * dma.transfer_cycles(32)
-
-
-def test_descriptor_kick_uses_control_registers():
-    sim, dma, src, dst = make_pair()
-    src.write_bytes(src.base_addr + 128, b"via-descriptor")
-    src.write_control(DMA_SRC_OFFSET, src.base_addr + 128)
-    src.write_control(DMA_DST_OFFSET, dst.base_addr)
-    src.write_control(DMA_SIZE_OFFSET, 14)
-    dma.kick_from_descriptor(src, dst)
-    sim.run()
-    assert dst.read_bytes(dst.base_addr, 14) == b"via-descriptor"
+    assert done == [dma.transfer_cycles(32), 2 * dma.transfer_cycles(32)]
+    assert dma.queue_wait.total == dma.transfer_cycles(32)
 
 
 def test_prefetch_fill_writes_instruction_segment():
     sim, dma, _, dst = make_pair()
-    segment = bytes(range(64))
-    dma.prefetch_fill(dst, dst.base_addr + 256, segment)
+    dma.prefetch_fill(dst, dst.base_addr + 256, 64)
     sim.run()
-    assert dst.read_bytes(dst.base_addr + 256, 64) == segment
-    assert dma.bytes_moved.value == 64
+    assert dst.writes.value == 1
+    assert dma.transfers.value == 1 and dma.bytes_moved.value == 64
 
 
 def test_zero_size_rejected():
@@ -71,7 +69,16 @@ def test_zero_size_rejected():
     with pytest.raises(MemoryError_):
         dma.copy(src, dst, src.base_addr, dst.base_addr, 0)
     with pytest.raises(MemoryError_):
-        dma.prefetch_fill(dst, dst.base_addr, b"")
+        dma.prefetch_fill(dst, dst.base_addr, 0)
+
+
+def test_out_of_range_fill_rejected():
+    sim, dma, src, dst = make_pair()
+    with pytest.raises(MemoryError_):
+        dma.prefetch_fill(dst, dst.base_addr + dst.size_bytes - 8, 16)
+    with pytest.raises(MemoryError_):
+        dma.prefetch_fill(dst, src.base_addr, 16)      # another core's SPM
+    assert sim.pending() == 0
 
 
 def test_bad_bandwidth_rejected():

@@ -75,7 +75,7 @@ class TestMemorySystem:
         done = []
         r = MemRequest(addr=0x40, size=64, is_write=False, issue_time=0,
                        on_complete=lambda req, t: done.append(t))
-        finish = system.submit(r)
+        finish = system.controller_for(r.addr).submit(r)
         sim.run()
         assert done == [finish]
         assert r.latency == finish
@@ -87,7 +87,8 @@ class TestMemorySystem:
             finish = 0.0
             for i in range(64):
                 r = MemRequest(addr=i * 64, size=64, is_write=False)
-                finish = max(finish, system.submit(r))
+                finish = max(finish,
+                             system.controller_for(r.addr).submit(r))
             sim.run()
             return finish
 
@@ -97,7 +98,8 @@ class TestMemorySystem:
         sim = Simulator()
         system = MemorySystem(sim, MemoryConfig(channels=1))
         for i in range(4):
-            system.submit(MemRequest(addr=i * 64, size=64, is_write=False))
+            r = MemRequest(addr=i * 64, size=64, is_write=False)
+            system.controller_for(r.addr).submit(r)
         sim.run()
         assert system.mean_latency() > 0
         assert system.total_requests == 4

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import MemoryError_
-from repro.mem import SPM_REGION_BASE, Scratchpad, SpmAddressMap
-from repro.mem.spm import DMA_DST_OFFSET, DMA_SIZE_OFFSET, DMA_SRC_OFFSET
+from repro.mem import SPM_REGION_BASE, DmaEngine, Scratchpad, SpmAddressMap
+from repro.sim import Simulator
 
 
 class TestScratchpad:
@@ -14,50 +14,30 @@ class TestScratchpad:
         assert s0.base_addr == SPM_REGION_BASE
         assert s1.base_addr == SPM_REGION_BASE + s0.size_bytes
 
-    def test_read_write_round_trip(self):
-        spm = Scratchpad(0)
-        spm.write(spm.base_addr + 16, 0xDEAD, 4)
-        assert spm.read(spm.base_addr + 16, 4) == 0xDEAD
-
-    def test_bytes_interface(self):
-        spm = Scratchpad(0)
-        spm.write_bytes(spm.base_addr, b"abc")
-        assert spm.read_bytes(spm.base_addr, 3) == b"abc"
-
     def test_out_of_range_raises(self):
         spm = Scratchpad(0)
+        spm.check_range(spm.base_addr, spm.size_bytes)
         with pytest.raises(MemoryError_):
-            spm.read(spm.base_addr - 1, 1)
+            spm.check_range(spm.base_addr - 1, 1)
         with pytest.raises(MemoryError_):
-            spm.read(spm.base_addr + spm.size_bytes - 2, 4)   # straddles end
-
-    def test_control_window_is_top_256_bytes(self):
-        spm = Scratchpad(0)
-        assert spm.control_base == spm.base_addr + spm.size_bytes - 256
-        assert spm.is_control(spm.control_base)
-        assert spm.is_control(spm.base_addr + spm.size_bytes - 1)
-        assert not spm.is_control(spm.control_base - 1)
+            spm.check_range(spm.base_addr + spm.size_bytes - 2, 4)  # straddles end
 
     def test_data_capacity_excludes_control(self):
         spm = Scratchpad(0, size_bytes=128 * 1024)
         assert spm.data_bytes == 128 * 1024 - 256
-
-    def test_dma_descriptor_round_trip(self):
-        spm = Scratchpad(0)
-        spm.write_control(DMA_SRC_OFFSET, 0x111)
-        spm.write_control(DMA_DST_OFFSET, 0x222)
-        spm.write_control(DMA_SIZE_OFFSET, 64)
-        assert spm.dma_descriptor() == (0x111, 0x222, 64)
 
     def test_control_window_must_fit(self):
         with pytest.raises(MemoryError_):
             Scratchpad(0, size_bytes=128, control_bytes=256)
 
     def test_stats_counted(self):
-        spm = Scratchpad(0)
-        spm.write(spm.base_addr, 1, 1)
-        spm.read(spm.base_addr, 1)
-        assert spm.reads.value == 1 and spm.writes.value == 1
+        # a DMA copy reads its source SPM once and writes its target once
+        sim = Simulator()
+        src, dst = Scratchpad(0), Scratchpad(1)
+        DmaEngine(sim).copy(src, dst, src.base_addr, dst.base_addr, 8)
+        sim.run()
+        assert src.reads.value == 1 and src.writes.value == 0
+        assert dst.reads.value == 0 and dst.writes.value == 1
 
 
 class TestSpmAddressMap:

@@ -6,7 +6,8 @@ scaled-down Fig 23 chip, each named by its instructions per thread) were
 captured before the hot-path optimization pass (due lane in the event
 engine, ``__slots__`` packets/requests, memoized link slice fits, MACT
 mask caching).  The others pin the single-core rig under every scheduling
-policy, a second profile, and both sides of a compare run.  Any
+policy, a second profile, both sides of a compare run, and a chip whose
+code segment is DMA-staged into SPM (``shared_code=True``).  Any
 optimization that changes a pin has changed simulation *behaviour*, not
 just speed, and must be rejected — regenerate only when a deliberate
 semantic change lands, via::
@@ -54,6 +55,10 @@ REQUEST_GOLDEN = {
         kind="compare", workload="kmp", smarco_config=smarco_scaled(2, 4),
         threads_per_core=4, instrs_per_thread=100, xeon_threads=8,
         xeon_instrs_per_thread=2000), "d8569393c8183453"),
+    "smarco-search-shared-code": (RunRequest(
+        kind="smarco", workload="search", seed=4,
+        smarco_config=smarco_scaled(2, 4), threads_per_core=4,
+        instrs_per_thread=120, shared_code=True), "2797c529d27d51f1"),
 }
 
 

@@ -68,31 +68,12 @@ def test_run_until_stops_before_later_events():
     assert seen == ["early", "late"]
 
 
-def test_run_max_events():
+def test_pending():
     sim = Simulator()
-    seen = []
-    for i in range(5):
-        sim.schedule(i, seen.append, i)
-    executed = sim.run(max_events=2)
-    assert executed == 2 and seen == [0, 1]
-
-
-def test_step_executes_single_event():
-    sim = Simulator()
-    seen = []
-    sim.schedule(1, seen.append, "a")
-    sim.schedule(2, seen.append, "b")
-    assert sim.step() is True
-    assert seen == ["a"]
-    assert sim.step() is True
-    assert sim.step() is False
-
-
-def test_peek_and_pending():
-    sim = Simulator()
-    assert sim.peek() is None and sim.pending() == 0
+    assert sim.pending() == 0
     sim.schedule(3, lambda: None)
-    assert sim.peek() == 3 and sim.pending() == 1
+    sim.schedule(0, lambda: None)
+    assert sim.pending() == 2
 
 
 def test_events_executed_counter():
